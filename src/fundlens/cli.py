@@ -15,7 +15,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date
 from pathlib import Path
 from typing import Optional
@@ -26,7 +26,6 @@ from . import forest as rf
 from .core import (
     Campaign,
     CategoryRegistry,
-    GoalBand,
     MAX_RATIO,
     assign_binary_class,
     assign_goal_band,
@@ -47,57 +46,11 @@ from .synth import SynthSpec, generate_dataset, write_dataset
 from .text import load_lexicon
 
 
-@dataclass
-class RunConfig:
-    seed: Optional[int] = None
-    out: Path = Path("out")
-    campaigns: Optional[Path] = None
-    census: Optional[Path] = None
-    lexicon: Optional[Path] = None  # None -> bundled demo lexicon
-    quality_scores: Optional[Path] = None
-    sidecar_root: Optional[Path] = None
-    categories: Optional[Path] = None
-    models: Optional[Path] = None
-    alpha: float = 0.05
-    target: str = "two-class"
-    assembly: str = "all-features"
-    jobs: int = 1
-    n_estimators: int = 100
-    min_samples_split: int = 2
-    max_depth: Optional[int] = None
-    max_features: Optional[int] = None
-    bootstrap: bool = True
-    criterion: str = "gini"
-    cv_folds: int = 10
-    min_band_n: int = 30
-    settings: tuple = tuple(Setting)
-    full_settings_bands: tuple = ("B1", "B2")
-    train_setting: str = "EarlyFusionAll"
-    extra: dict = field(default_factory=dict)
-
-    def forest_config(self, seed: int = 0) -> rf.ForestConfig:
-        return rf.ForestConfig(
-            n_estimators=self.n_estimators,
-            min_samples_split=self.min_samples_split,
-            max_features=self.max_features,
-            max_depth=self.max_depth,
-            bootstrap=self.bootstrap,
-            seed=seed,
-            criterion=self.criterion,
-        )
-
-    def experiment_config(self) -> ExperimentConfig:
-        return ExperimentConfig(
-            seed=self.seed,
-            forest=self.forest_config(),
-            settings=self.settings,
-            cv_folds=self.cv_folds,
-            min_band_n=self.min_band_n,
-            target=self.target,
-            assembly=self.assembly,
-            full_settings_bands=self.full_settings_bands,
-            jobs=self.jobs,
-        )
+def _parse_bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(raw) from None
 
 
 def _parse_settings(raw: str):
@@ -115,70 +68,111 @@ def _parse_settings(raw: str):
     return tuple(out)
 
 
-def load_config(path: Optional[str], args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if path is not None:
-        p = Path(path)
-        if not p.is_file():
-            raise ConfigError(f"config file not found: {p}")
-        parser = configparser.ConfigParser()
+def _parse_list(raw: str) -> tuple:
+    return tuple(t.strip() for t in raw.split(",") if t.strip())
+
+
+def _opt(default, parse):
+    """A run option: its name is the INI key and, with - for _, the flag."""
+    return field(default=default, metadata={"parse": parse})
+
+
+@dataclass
+class RunConfig:
+    seed: Optional[int] = _opt(None, int)
+    out: Path = _opt(Path("out"), Path)
+    campaigns: Optional[Path] = _opt(None, Path)
+    census: Optional[Path] = _opt(None, Path)
+    lexicon: Optional[Path] = _opt(None, Path)  # None -> bundled demo lexicon
+    quality_scores: Optional[Path] = _opt(None, Path)
+    sidecar_root: Optional[Path] = _opt(None, Path)
+    categories: Optional[Path] = _opt(None, Path)
+    models: Optional[Path] = _opt(None, Path)
+    alpha: float = _opt(0.05, float)
+    target: str = _opt("two-class", str)
+    assembly: str = _opt("all-features", str)
+    jobs: int = _opt(1, int)
+    trees: int = _opt(100, int)
+    min_samples_split: int = _opt(2, int)
+    max_depth: Optional[int] = _opt(None, int)
+    max_features: Optional[int] = _opt(None, int)
+    bootstrap: bool = _opt(True, _parse_bool)
+    cv_folds: int = _opt(10, int)
+    min_band_n: int = _opt(30, int)
+    settings: tuple = _opt(tuple(Setting), _parse_settings)
+    full_settings_bands: tuple = _opt(("B1", "B2"), _parse_list)
+    train_setting: str = _opt("EarlyFusionAll", str)
+
+    def forest_config(self, seed: int = 0) -> rf.ForestConfig:
+        return rf.ForestConfig(
+            n_estimators=self.trees,
+            min_samples_split=self.min_samples_split,
+            max_features=self.max_features,
+            max_depth=self.max_depth,
+            bootstrap=self.bootstrap,
+            seed=seed,
+        )
+
+    def experiment_config(self) -> ExperimentConfig:
+        return ExperimentConfig(
+            seed=self.seed,
+            forest=self.forest_config(),
+            settings=self.settings,
+            cv_folds=self.cv_folds,
+            min_band_n=self.min_band_n,
+            target=self.target,
+            assembly=self.assembly,
+            full_settings_bands=self.full_settings_bands,
+            jobs=self.jobs,
+        )
+
+
+def _read_ini(path: str) -> dict:
+    """Key -> raw value from every section of an INI file."""
+    p = Path(path)
+    if not p.is_file():
+        raise ConfigError(f"config file not found: {p}")
+    # With no default section, [DEFAULT] is read like any other section.
+    parser = configparser.ConfigParser(default_section="")
+    known = {f.name for f in fields(RunConfig)}
+    raw: dict = {}
+    try:
         parser.read(p, encoding="utf-8")
+        for section in parser.sections():
+            for key, value in parser.items(section):
+                if key not in known:
+                    raise ConfigError(f"unknown config key {key!r} in [{section}] of {p}")
+                if key in raw:
+                    raise ConfigError(f"config key {key!r} is set in more than one section of {p}")
+                raw[key] = value
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse {p}: {exc}") from None
+    return raw
 
-        def get(section, key, fallback=None):
-            return parser.get(section, key, fallback=fallback) if parser.has_section(section) else fallback
 
-        for key in ("campaigns", "census", "lexicon", "quality_scores",
-                    "sidecar_root", "categories", "models", "out"):
-            raw = get("paths", key)
-            if raw:
-                setattr(cfg, key, Path(raw))
-        seed = get("run", "seed")
-        if seed is not None:
-            cfg.seed = int(seed)
-        for key, cast in (("alpha", float), ("target", str), ("assembly", str), ("jobs", int)):
-            raw = get("run", key)
-            if raw is not None:
-                setattr(cfg, key, cast(raw))
-        for key, cast in (("n_estimators", int), ("min_samples_split", int),
-                          ("bootstrap", lambda s: s.lower() in ("1", "true", "yes")),
-                          ("criterion", str)):
-            raw = get("forest", key)
-            if raw is not None:
-                setattr(cfg, key, cast(raw))
-        for key in ("max_depth", "max_features"):
-            raw = get("forest", key)
-            if raw:
-                setattr(cfg, key, int(raw))
-        for key, cast in (("cv_folds", int), ("min_band_n", int), ("train_setting", str)):
-            raw = get("experiment", key)
-            if raw is not None:
-                setattr(cfg, key, cast(raw))
-        raw = get("experiment", "settings")
-        if raw:
-            cfg.settings = _parse_settings(raw)
-        raw = get("experiment", "full_settings_bands")
-        if raw:
-            cfg.full_settings_bands = tuple(t.strip() for t in raw.split(",") if t.strip())
-
+def load_config(path: Optional[str], args: argparse.Namespace) -> RunConfig:
+    raw = _read_ini(path) if path is not None else {}
     # Flags win over the config file.
-    for key in ("seed", "jobs", "alpha", "target", "assembly", "cv_folds",
-                "n_estimators", "max_depth", "min_band_n", "train_setting"):
-        v = getattr(args, key, None)
-        if v is not None:
-            setattr(cfg, key, v)
-    for key in ("out", "campaigns", "census", "lexicon", "quality_scores", "sidecar_root", "models"):
-        v = getattr(args, key, None)
-        if v is not None:
-            setattr(cfg, key, Path(v))
-    if getattr(args, "settings", None):
-        cfg.settings = _parse_settings(args.settings)
-
+    raw.update({f.name: getattr(args, f.name) for f in fields(RunConfig)
+                if getattr(args, f.name, None) is not None})
+    values = {}
+    for f in fields(RunConfig):
+        text = raw.get(f.name, "").strip()
+        if not text:
+            continue  # an empty value means the default
+        try:
+            values[f.name] = f.metadata["parse"](text)
+        except ValueError:
+            raise ConfigError(f"bad value for {f.name}: {text!r}") from None
+    cfg = RunConfig(**values)
     if cfg.seed is None:
-        raise ConfigError("seed is mandatory: set [run] seed in the config or pass --seed")
+        raise ConfigError("seed is mandatory: set seed in the config or pass --seed")
     if cfg.target not in ("two-class", "four-class"):
         raise ConfigError(f"target must be two-class or four-class, got {cfg.target!r}")
     if cfg.assembly not in ("all-features", "screened"):
         raise ConfigError(f"assembly must be all-features or screened, got {cfg.assembly!r}")
+    if not set(cfg.full_settings_bands) <= {"B1", "B2", "B3", "B4"}:
+        raise ConfigError(f"full_settings_bands must name bands B1-B4, got {cfg.full_settings_bands!r}")
     return cfg
 
 
@@ -236,25 +230,28 @@ def _load_dataset(path: Path, registry: CategoryRegistry):
     campaigns = []
     meta = []
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            campaigns.append(Campaign(
-                id=obj["id"], launch_date=date.fromisoformat(obj["launch_date"]),
-                city=obj["city"], state=obj["state"], country=obj["country"],
-                title=obj["title"], description=obj["description"], category=obj["category"],
-                goal_amount=obj["goal_amount"], raised_amount=obj["raised_amount"],
-                num_followers=obj["num_followers"], num_shares=obj["num_shares"],
-                num_donors=obj["num_donors"], cover_image=obj.get("cover_image"),
-            ))
-            meta.append({
-                "ratio": obj["ratio"],
-                "goal_band": obj["goal_band"],
-                "class_four": obj["class_four"],
-                "class_two": obj["class_two"],
-            })
+            try:
+                obj = json.loads(line)
+                campaigns.append(Campaign(
+                    id=obj["id"], launch_date=date.fromisoformat(obj["launch_date"]),
+                    city=obj["city"], state=obj["state"], country=obj["country"],
+                    title=obj["title"], description=obj["description"], category=obj["category"],
+                    goal_amount=obj["goal_amount"], raised_amount=obj["raised_amount"],
+                    num_followers=obj["num_followers"], num_shares=obj["num_shares"],
+                    num_donors=obj["num_donors"], cover_image=obj.get("cover_image"),
+                ))
+                meta.append({
+                    "ratio": obj["ratio"],
+                    "goal_band": obj["goal_band"],
+                    "class_four": obj["class_four"],
+                    "class_two": obj["class_two"],
+                })
+            except (ValueError, KeyError, TypeError) as exc:
+                raise DataError(f"{path}, line {lineno}: malformed dataset record: {exc!r}") from None
     return campaigns, meta
 
 
@@ -290,24 +287,35 @@ def cmd_ingest(cfg: RunConfig) -> int:
     return 0
 
 
+def _feature_inputs(cfg: RunConfig) -> dict:
+    """The build_feature_matrix inputs that featurize and predict share.
+
+    A configured path that does not exist is a config error, never a
+    silently missing (and then imputed) modality.
+    """
+    return {
+        "lexicon": _lexicon(cfg),
+        "population_table": (load_population_table(_require(cfg.census, "census file"))
+                             if cfg.census else None),
+        "quality_table": (load_precomputed_quality(_require(cfg.quality_scores, "quality score file"))
+                          if cfg.quality_scores else None),
+        "face_provider": (StubFaceProvider(_require(cfg.sidecar_root, "sidecar root"))
+                          if cfg.sidecar_root else None),
+    }
+
+
 def cmd_featurize(cfg: RunConfig) -> int:
     paths = _dataset_paths(cfg)
     registry = _registry(cfg)
     dataset = _require(paths["dataset"], "dataset file (run ingest first)")
     campaigns, _ = _load_dataset(dataset, registry)
-    lexicon = _lexicon(cfg)
-    population = load_population_table(_require(cfg.census, "census file")) if cfg.census else None
-    quality = (load_precomputed_quality(_require(cfg.quality_scores, "quality score file"))
-               if cfg.quality_scores else None)
-    provider = StubFaceProvider(_require(cfg.sidecar_root, "sidecar root")) if cfg.sidecar_root else None
-    matrix = build_feature_matrix(
-        campaigns, registry, lexicon,
-        population_table=population, quality_table=quality, face_provider=provider,
-    )
+    inputs = _feature_inputs(cfg)
+    matrix = build_feature_matrix(campaigns, registry, **inputs)
     matrix.save(paths["features"], paths["features_meta"])
     meta = json.loads(paths["features_meta"].read_text(encoding="utf-8"))
+    provider = inputs["face_provider"]
     meta["provider_tags"] = {
-        "quality": "precomputed" if quality is not None else "none",
+        "quality": "precomputed" if inputs["quality_table"] is not None else "none",
         "faces": provider.tag if provider is not None else "none",
     }
     meta["lexicon_fingerprint"] = _lexicon_fingerprint(cfg)
@@ -325,7 +333,6 @@ def _screen_all(matrix: FeatureMatrix, meta, cfg: RunConfig):
     bands = [m["goal_band"] for m in meta]
     analysis = [i for i, m in enumerate(meta)
                 if m["goal_band"] is not None and m["ratio"] <= MAX_RATIO]
-    categories = sorted({matrix.names[j] for j in range(len(matrix.names))})
     # Category of each row comes from the one-hot basic columns.
     cat_cols = [(j, matrix.names[j][4:]) for j in range(len(matrix.names))
                 if matrix.names[j].startswith("cat_")]
@@ -461,15 +468,7 @@ def cmd_predict(cfg: RunConfig, campaign_file: str) -> int:
     model_dir = _require(paths["models"], "model directory (run train first)")
     src = _require(Path(campaign_file), "campaign file")
     campaigns, _ = load_campaigns(src, registry)
-    lexicon = _lexicon(cfg)
-    population = load_population_table(cfg.census) if cfg.census and Path(cfg.census).exists() else None
-    quality = (load_precomputed_quality(cfg.quality_scores)
-               if cfg.quality_scores and Path(cfg.quality_scores).exists() else None)
-    provider = (StubFaceProvider(cfg.sidecar_root)
-                if cfg.sidecar_root and Path(cfg.sidecar_root).exists() else None)
-    matrix = build_feature_matrix(campaigns, registry, lexicon,
-                                  population_table=population, quality_table=quality,
-                                  face_provider=provider)
+    matrix = build_feature_matrix(campaigns, registry, **_feature_inputs(cfg))
     models = {}
     metas = {}
     for band in ("B1", "B2", "B3", "B4"):
@@ -524,7 +523,7 @@ def cmd_synth(cfg: RunConfig, spec_file: str) -> int:
 def cmd_report(cfg: RunConfig) -> int:
     paths = _dataset_paths(cfg)
     registry = _registry(cfg)
-    _, meta = _load_dataset(_require(paths["dataset"], "dataset file"), registry)
+    campaigns, meta = _load_dataset(_require(paths["dataset"], "dataset file"), registry)
 
     def write_hist(path, values, lo, hi, width):
         edges = np.arange(lo, hi + width / 2, width)
@@ -535,7 +534,6 @@ def cmd_report(cfg: RunConfig) -> int:
             for left, right, count in zip(edges[:-1], edges[1:], counts):
                 writer.writerow([f"{left:.6g}", f"{right:.6g}", int(count)])
 
-    campaigns, _ = _load_dataset(paths["dataset"], registry)
     goals = [c.goal_amount for c in campaigns if c.goal_amount <= 100_000]
     ratios = [m["ratio"] for m in meta if m["ratio"] <= MAX_RATIO]
     write_hist(paths["goal_hist"], goals, 0.0, 100_000.0, 4_000.0)
@@ -558,24 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="INI config file; flags override its values")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out")
-        p.add_argument("--jobs", type=int)
-        p.add_argument("--campaigns")
-        p.add_argument("--census")
-        p.add_argument("--lexicon")
-        p.add_argument("--quality-scores", dest="quality_scores")
-        p.add_argument("--sidecar-root", dest="sidecar_root")
-        p.add_argument("--models")
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--target", choices=["two-class", "four-class"])
-        p.add_argument("--assembly", choices=["all-features", "screened"])
-        p.add_argument("--trees", type=int, dest="n_estimators")
-        p.add_argument("--max-depth", type=int, dest="max_depth")
-        p.add_argument("--cv-folds", type=int, dest="cv_folds")
-        p.add_argument("--min-band-n", type=int, dest="min_band_n")
-        p.add_argument("--settings")
-        p.add_argument("--train-setting", dest="train_setting")
+        for f in fields(RunConfig):
+            p.add_argument("--" + f.name.replace("_", "-"))
 
     for name in ("ingest", "featurize", "screen", "train", "evaluate", "report"):
         add_common(sub.add_parser(name))

@@ -7,7 +7,7 @@ functions, so everything is safe to use from concurrent workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from enum import Enum, IntEnum
 from importlib import resources
@@ -15,8 +15,6 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import InvalidAmount, InvalidGoal, InvalidRatio, SchemaError
-
-MODALITIES = ("basic", "population", "text", "image_quality", "face")
 
 #: Drop campaigns whose raised/goal ratio exceeds this.
 MAX_RATIO = 2.5
@@ -184,31 +182,3 @@ class Campaign:
     def ratio(self) -> float:
         return compute_ratio(self.raised_amount, self.goal_amount)
 
-
-@dataclass(frozen=True)
-class FeatureItem:
-    name: str
-    value: float
-    modality: str
-
-
-@dataclass
-class FeatureVector:
-    """Ordered named numeric features for one campaign, tagged by modality."""
-
-    items: list = field(default_factory=list)
-
-    def add(self, name: str, value: float, modality: str) -> None:
-        if modality not in MODALITIES:
-            raise SchemaError(f"unknown modality {modality!r}")
-        if not math.isfinite(value):
-            raise SchemaError(f"non-finite feature value for {name!r}")
-        if any(it.name == name for it in self.items):
-            raise SchemaError(f"duplicate feature name {name!r}")
-        self.items.append(FeatureItem(name, float(value), modality))
-
-    def names(self):
-        return [it.name for it in self.items]
-
-    def as_dict(self):
-        return {it.name: it.value for it in self.items}

@@ -92,10 +92,3 @@ class DegenerateNode(FundlensError):
 class SurrogateUnavailable(FundlensError):
     """Lexicon lacks the categories the surrogate summary variable needs."""
 
-
-class ProviderError(FundlensError):
-    """Remote feature provider failed; retryable."""
-
-    def __init__(self, message: str, retryable: bool = True):
-        super().__init__(message)
-        self.retryable = retryable

@@ -84,8 +84,8 @@ def early_fuse(matrices) -> FeatureMatrix:
     )
 
 
-def late_fuse_proba(models, xs, combiner: str = "average") -> np.ndarray:
-    """Combine per-modality model outputs into one probability vector per row."""
+def late_fuse_proba(models, xs) -> np.ndarray:
+    """Average per-modality model outputs into one probability vector per row."""
     if len(models) < 2:
         raise LabelError("late fusion needs at least 2 models")
     if len(models) != len(xs):
@@ -95,19 +95,12 @@ def late_fuse_proba(models, xs, combiner: str = "average") -> np.ndarray:
         if m.labels.shape != base.shape or (m.labels != base).any():
             raise LabelError("late fusion requires a shared label set")
     probas = [m.predict_proba(x) for m, x in zip(models, xs)]
-    if combiner == "average":
-        return np.mean(probas, axis=0)
-    if combiner == "vote":
-        votes = np.zeros_like(probas[0])
-        for p in probas:
-            votes[np.arange(p.shape[0]), np.argmax(p, axis=1)] += 1.0
-        return votes / len(probas)
-    raise LabelError(f"unknown late-fusion combiner {combiner!r}")
+    return np.mean(probas, axis=0)
 
 
-def late_fuse(models, xs, combiner: str = "average") -> np.ndarray:
+def late_fuse(models, xs) -> np.ndarray:
     """Fused label predictions; probability ties go to the lower label."""
-    proba = late_fuse_proba(models, xs, combiner)
+    proba = late_fuse_proba(models, xs)
     return models[0].labels[np.argmax(proba, axis=1)]
 
 
@@ -204,7 +197,6 @@ class ExperimentConfig:
     min_band_n: int = 30
     target: str = "two-class"          # or "four-class"
     assembly: str = "all-features"     # or "screened"
-    late_combiner: str = "average"
     #: Bands that run all settings; the rest run Basic only (no extra
     #: significant features were found in the high-goal bands).
     full_settings_bands: tuple = ("B1", "B2")
@@ -315,7 +307,7 @@ def _fit_predict(matrix_train, matrix_test, y_train, cfg: ExperimentConfig,
             fc = rf.ForestConfig(**{**asdict(cfg.forest), "seed": _derived_seed(*seed_parts, "late", gi)})
             models.append(rf.fit(Xtr, y_train, fc, feature_names=names, jobs=cfg.jobs))
             xs.append(Xte)
-        return late_fuse(models, xs, combiner=cfg.late_combiner)
+        return late_fuse(models, xs)
     sub_tr = assemble(matrix_train, setting, screened_names)
     sub_te = assemble(matrix_test, setting, screened_names)
     Xtr, Xte, names, _ = impute_with_indicators(sub_tr.values, sub_te.values, sub_tr.names)

@@ -31,15 +31,12 @@ class ForestConfig:
     max_depth: Optional[int] = None
     bootstrap: bool = True
     seed: int = 0
-    criterion: str = "gini"  # or "entropy", for sensitivity checks
 
     def __post_init__(self):
         if self.n_estimators < 1:
             raise ConfigError("n_estimators must be >= 1")
         if self.min_samples_split < 2:
             raise ConfigError("min_samples_split must be >= 2")
-        if self.criterion not in ("gini", "entropy"):
-            raise ConfigError(f"unknown criterion {self.criterion!r}")
 
     def resolved_max_features(self, d: int) -> int:
         mf = self.max_features if self.max_features is not None else math.ceil(math.sqrt(d))
@@ -55,16 +52,13 @@ def gini(counts) -> float:
     return float(1.0 - (p * p).sum())
 
 
-def _impurity(counts: np.ndarray, criterion: str) -> float:
+def _impurity(counts: np.ndarray) -> float:
     total = counts.sum()
     p = counts / total
-    if criterion == "gini":
-        return float(1.0 - (p * p).sum())
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
+    return float(1.0 - (p * p).sum())
 
 
-def _scan_candidates(X, y_codes, rows, feats, n_classes, criterion, parent_impurity):
+def _scan_candidates(X, y_codes, rows, feats, n_classes, parent_impurity):
     """Best (feature, threshold, impurity decrease) over candidate features.
 
     Thresholds are midpoints of consecutive distinct sorted values; ties are
@@ -83,15 +77,8 @@ def _scan_candidates(X, y_codes, rows, feats, n_classes, criterion, parent_impur
     right = total[None, :, :] - left
     nl = np.arange(1, m, dtype=np.float64)[:, None]
     nr = float(m) - nl
-    if criterion == "gini":
-        il = 1.0 - ((left / nl[..., None]) ** 2).sum(axis=-1)
-        ir = 1.0 - ((right / nr[..., None]) ** 2).sum(axis=-1)
-    else:
-        pl = left / nl[..., None]
-        pr = right / nr[..., None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            il = -np.where(pl > 0, pl * np.log2(pl), 0.0).sum(axis=-1)
-            ir = -np.where(pr > 0, pr * np.log2(pr), 0.0).sum(axis=-1)
+    il = 1.0 - ((left / nl[..., None]) ** 2).sum(axis=-1)
+    ir = 1.0 - ((right / nr[..., None]) ** 2).sum(axis=-1)
     decrease = parent_impurity - (nl * il + nr * ir) / m
     decrease[Xs[1:] <= Xs[:-1]] = -np.inf
     best_pos = np.argmax(decrease, axis=0)
@@ -109,7 +96,7 @@ def _scan_candidates(X, y_codes, rows, feats, n_classes, criterion, parent_impur
     return int(feats[j]), float(threshold), float(best_dec[j])
 
 
-def best_split(X, y, rows=None, features=None, criterion: str = "gini"):
+def best_split(X, y, rows=None, features=None):
     """Exhaustive best split over the given rows and candidate features.
 
     Returns (feature_index, threshold, impurity_decrease) or None when no
@@ -122,10 +109,10 @@ def best_split(X, y, rows=None, features=None, criterion: str = "gini"):
     rows = np.arange(X.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
     feats = np.arange(X.shape[1]) if features is None else np.sort(np.asarray(features, dtype=np.intp))
     counts = np.bincount(y_codes[rows], minlength=labels.size).astype(np.float64)
-    parent = _impurity(counts, criterion)
+    parent = _impurity(counts)
     if parent <= 0.0:
         return None
-    return _scan_candidates(X, y_codes, rows, feats, labels.size, criterion, parent)
+    return _scan_candidates(X, y_codes, rows, feats, labels.size, parent)
 
 
 @dataclass
@@ -179,14 +166,14 @@ def _build_tree(X, y_codes, n_classes, config: ForestConfig, tree_index: int):
             continue
         if config.max_depth is not None and depth >= config.max_depth:
             continue
-        parent_imp = _impurity(cnt, config.criterion)
+        parent_imp = _impurity(cnt)
         if parent_imp <= 0.0:
             continue
         if max_features < d:
             feats = np.sort(rng.choice(d, size=max_features, replace=False))
         else:
             feats = np.arange(d)
-        found = _scan_candidates(X, y_codes, rows, feats, n_classes, config.criterion, parent_imp)
+        found = _scan_candidates(X, y_codes, rows, feats, n_classes, parent_imp)
         if found is None:
             continue
         f, thr, dec = found
@@ -281,6 +268,10 @@ class RandomForest:
     def from_json(cls, payload: dict) -> "RandomForest":
         if payload.get("version") != _SERIAL_VERSION:
             raise ShapeError(f"unsupported model version: {payload.get('version')}")
+        try:
+            config = ForestConfig(**payload["config"])
+        except TypeError as exc:  # e.g. a "criterion" key from an older model file
+            raise ShapeError(f"unsupported model config: {exc}") from None
         trees = [
             Tree(
                 feature=np.asarray(t["feature"], dtype=np.int32),
@@ -295,7 +286,7 @@ class RandomForest:
             trees=trees,
             labels=np.asarray(payload["labels"]),
             feature_names=payload["feature_names"],
-            config=ForestConfig(**payload["config"]),
+            config=config,
             tree_seeds=[tuple(s) for s in payload["tree_seeds"]],
             importance_raw=np.asarray(payload["importance_raw"], dtype=np.float64),
         )

@@ -3,9 +3,8 @@
 The learned quality model and the commercial face service are out of scope;
 this module offers (a) a documented deterministic surrogate quality scorer,
 (b) a precomputed-score table so real model outputs can be injected, and
-(c) a face provider interface with an offline sidecar stub and an HTTP
-client. Reports always carry the provider tag so surrogate numbers are
-never mistaken for model outputs.
+(c) a face provider that reads offline sidecar files. Reports always carry
+the provider tag so surrogate numbers are never mistaken for model outputs.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidImage, ProviderError, RangeError, SchemaError
+from .errors import InvalidImage, RangeError, SchemaError
 
 EMOTION_KEYS = ("anger", "disgust", "fear", "happiness", "neutral", "sadness", "surprise")
 
@@ -144,60 +143,6 @@ class StubFaceProvider:
         if not isinstance(payload, list):
             raise SchemaError(f"sidecar {path} must hold a JSON array")
         return [parse_face(obj) for obj in payload]
-
-
-class HttpFaceProvider:
-    """Remote provider: POSTs image bytes as multipart, expects a JSON array.
-
-    Responses are cached to sidecar files when a cache root is given, so
-    reruns are offline and deterministic.
-    """
-
-    tag = "http"
-
-    def __init__(self, url: str, image_root=".", cache_root=None, timeout: float = 10.0, retries: int = 2):
-        self.url = url
-        self.image_root = Path(image_root)
-        self.cache_root = Path(cache_root) if cache_root else None
-        self.timeout = timeout
-        self.retries = retries
-
-    def analyze(self, image_ref: str):
-        import requests
-
-        if self.cache_root is not None:
-            cached = sidecar_path(self.cache_root, image_ref)
-            if cached.is_file():
-                return StubFaceProvider(self.cache_root).analyze(image_ref)
-        image_path = self.image_root / image_ref
-        if not image_path.is_file():
-            return []
-        last_exc = None
-        for _ in range(self.retries + 1):
-            try:
-                resp = requests.post(
-                    self.url,
-                    files={"image": (image_ref, image_path.read_bytes())},
-                    timeout=self.timeout,
-                )
-                resp.raise_for_status()
-                payload = resp.json()
-                break
-            except (requests.RequestException, ValueError) as exc:
-                last_exc = exc
-        else:
-            raise ProviderError(f"face provider unreachable: {last_exc}", retryable=True)
-        if not isinstance(payload, list):
-            raise SchemaError("face provider response must be a JSON array")
-        faces = [parse_face(obj) for obj in payload]
-        if self.cache_root is not None:
-            write_sidecar(self.cache_root, image_ref, faces)
-        return faces
-
-
-def analyze_faces(image_ref: str, provider):
-    """Zero or more validated FaceAttributes for one image reference."""
-    return provider.analyze(image_ref)
 
 
 def aggregate_face_features(faces) -> CampaignFaceFeatures:

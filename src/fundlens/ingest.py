@@ -1,4 +1,4 @@
-"""Campaign snapshot parsing, validation, and the city-population join.
+"""Campaign snapshot parsing, validation, and the city-population table.
 
 Snapshots are JSON-lines (one campaign per line). Malformed lines are
 counted and skipped with reason codes; they never abort the batch.
@@ -15,7 +15,7 @@ from datetime import date
 from pathlib import Path
 from typing import Optional
 
-from .core import Campaign, CategoryRegistry, FeatureVector, MAX_GOAL, MAX_RATIO, assign_goal_band
+from .core import Campaign, CategoryRegistry, MAX_GOAL, MAX_RATIO
 from .errors import DataError, EmptyDataset, ParseError, SchemaError
 
 _REQUIRED_KEYS = (
@@ -194,21 +194,3 @@ def load_population_table(path, source_year: str = "2018") -> PopulationTable:
                 entries[key] = pop
     return PopulationTable(entries=entries, source_year=source_year)
 
-
-def join_population(campaigns, table: PopulationTable):
-    """Attach the city-population feature to each campaign.
-
-    Missing lookups produce a missingness flag, never a fabricated value.
-    Returns one FeatureVector fragment per campaign, in input order.
-    """
-    fragments = []
-    for campaign in campaigns:
-        vec = FeatureVector()
-        pop = table.lookup(campaign.city, campaign.state)
-        if pop is None:
-            vec.add("population_missing", 1.0, "population")
-        else:
-            vec.add("city_population", float(pop), "population")
-            vec.add("population_missing", 0.0, "population")
-        fragments.append(vec)
-    return fragments

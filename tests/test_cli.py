@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -111,7 +112,7 @@ def test_report_histograms(pipeline_dir):
     assert summary["n"] == 220
 
 
-def test_config_file_and_flag_override(pipeline_dir, tmp_path):
+def test_config_file_and_flag_override(pipeline_dir, tmp_path, monkeypatch, capsys):
     root, out, base = pipeline_dir
     ini = tmp_path / "run.ini"
     ini.write_text(
@@ -129,6 +130,31 @@ def test_config_file_and_flag_override(pipeline_dir, tmp_path):
     # a flag overrides the file value
     assert main(["ingest", "--config", str(ini), "--out", str(tmp_path / "o2")]) == 0
     assert (tmp_path / "o2" / "dataset.jsonl").exists()
+
+    # The README's one-section example loads as written; its relative paths
+    # resolve from the working directory.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    work = tmp_path / "readme"
+    work.mkdir()
+    (work / "data").symlink_to(root / "data")
+    monkeypatch.chdir(work)
+    Path("run.ini").write_text(example)
+    assert main(["ingest", "--config", "run.ini"]) == 0
+    assert Path("out/dataset.jsonl").exists()
+    # An empty value means the default.
+    Path("empty.ini").write_text(example.replace("cv_folds = 5", "cv_folds ="))
+    assert main(["ingest", "--config", "empty.ini"]) == 0
+    capsys.readouterr()
+    # A misspelled key, or a key set in two sections, is a config error naming the key.
+    Path("typo.ini").write_text(example.replace("trees =", "tress ="))
+    assert main(["ingest", "--config", "typo.ini"]) == 2
+    assert "'tress'" in capsys.readouterr().err
+    Path("twice.ini").write_text(example + "[run]\nseed = 3\n")
+    assert main(["ingest", "--config", "twice.ini"]) == 2
+    assert "'seed'" in capsys.readouterr().err
+    assert main(["ingest", "--config", "run.ini", "--full-settings-bands", "B1,B9"]) == 2
+    assert "full_settings_bands" in capsys.readouterr().err
 
 
 def test_missing_seed_is_config_error(pipeline_dir, capsys):
@@ -158,3 +184,36 @@ def test_bad_spec_exits_3(tmp_path):
     spec.write_text(json.dumps({"cells": [{"band": "B7", "category": "Other", "n": 5}]}))
     rc = main(["synth", "--seed", "1", "--out", str(tmp_path / "o"), str(spec)])
     assert rc == 3
+
+
+def test_predict_missing_input_exits_2_before_writing(pipeline_dir, tmp_path, capsys):
+    root, out, base = pipeline_dir
+    predictions = tmp_path / "predictions.csv"
+    predictions.write_text("untouched\n")
+    rc = main(["predict", "--seed", "7", "--out", str(tmp_path), "--models", str(tmp_path),
+               "--census", str(tmp_path / "nope.csv"), "--quality-scores", str(tmp_path / "nope.csv"),
+               "--sidecar-root", str(tmp_path / "nodir"), str(root / "data" / "campaigns.jsonl")])
+    assert rc == 2
+    assert "census file not found" in capsys.readouterr().err
+    assert predictions.read_text() == "untouched\n"
+
+
+def _drop_goal_band(line):
+    record = json.loads(line)
+    del record["goal_band"]
+    return json.dumps(record)
+
+
+@pytest.mark.parametrize("command, corrupt", [
+    ("screen", _drop_goal_band),
+    ("report", lambda line: "{not json"),
+], ids=["missing-key", "not-json"])
+def test_malformed_dataset_exits_3(pipeline_dir, tmp_path, capsys, command, corrupt):
+    root, out, base = pipeline_dir
+    for name in ("dataset.jsonl", "features.csv", "features_meta.json"):
+        shutil.copy(out / name, tmp_path / name)
+    lines = (tmp_path / "dataset.jsonl").read_text().splitlines()
+    lines[4] = corrupt(lines[4])
+    (tmp_path / "dataset.jsonl").write_text("\n".join(lines) + "\n")
+    assert main([command, *base, "--out", str(tmp_path)]) == 3
+    assert "dataset.jsonl, line 5" in capsys.readouterr().err

@@ -101,8 +101,6 @@ def test_config_validation():
         ForestConfig(n_estimators=0)
     with pytest.raises(ConfigError):
         ForestConfig(min_samples_split=1)
-    with pytest.raises(ConfigError):
-        ForestConfig(criterion="xgboost")
     assert ForestConfig(max_features=None).resolved_max_features(16) == 4
     assert ForestConfig(max_features=None).resolved_max_features(10) == 4  # ceil(sqrt)
     assert ForestConfig(max_features=3).resolved_max_features(10) == 3
@@ -196,6 +194,11 @@ def test_serialization_roundtrip(tmp_path):
     np.testing.assert_allclose(model.predict_proba(X), loaded.predict_proba(X), atol=0)
     np.testing.assert_allclose(model.feature_importances(), loaded.feature_importances())
     assert loaded.feature_names == model.feature_names
+    # A config block with a key this version does not know is a data error.
+    payload = model.to_json()
+    payload["config"]["criterion"] = "gini"
+    with pytest.raises(ShapeError):
+        RandomForest.from_json(payload)
 
 
 def test_predict_shape_check():

@@ -4,7 +4,6 @@ import pytest
 
 from fundlens.errors import EmptyDataset, ParseError, SchemaError
 from fundlens.ingest import (
-    join_population,
     load_campaigns,
     load_population_table,
     normalize_place,
@@ -113,17 +112,3 @@ def test_population_schema_errors(tmp_path):
         load_population_table(_census(tmp_path, ["a,b"], header="city,state"))
     with pytest.raises(ParseError):
         load_population_table(_census(tmp_path, ["Springfield,IL,lots"]))
-
-
-def test_join_population(tmp_path, campaign_record, snapshot_file, registry):
-    campaigns, _ = load_campaigns(
-        snapshot_file([campaign_record, {**campaign_record, "id": "c2", "city": "Nowhere"}]),
-        registry,
-    )
-    table = load_population_table(_census(tmp_path, ["Springfield,IL,114230"]))
-    joined, missing = join_population(campaigns, table)
-    assert joined.as_dict()["city_population"] == 114230
-    assert joined.as_dict()["population_missing"] == 0
-
-    assert missing.as_dict()["population_missing"] == 1
-    assert "city_population" not in missing.as_dict()
