@@ -17,6 +17,7 @@ import json
 import sys
 from dataclasses import dataclass, field, fields
 from datetime import date
+from itertools import zip_longest
 from pathlib import Path
 from typing import Optional
 
@@ -255,6 +256,22 @@ def _load_dataset(path: Path, registry: CategoryRegistry):
     return campaigns, meta
 
 
+def _load_features_and_dataset(paths: dict, registry: CategoryRegistry):
+    """features.csv and the dataset meta, checked to hold the same campaigns
+    in the same order (a stale or reordered file is a data error)."""
+    matrix = FeatureMatrix.load(
+        _require(paths["features"], "feature matrix (run featurize first)"),
+        paths["features_meta"])
+    campaigns, meta = _load_dataset(_require(paths["dataset"], "dataset file"), registry)
+    ids = [c.id for c in campaigns]
+    if matrix.ids != ids:
+        row, (a, b) = next((i, pair) for i, pair in enumerate(zip_longest(matrix.ids, ids))
+                           if pair[0] != pair[1])
+        raise DataError(f"row {row + 1} is campaign {a!r} in {paths['features']} but {b!r} "
+                        f"in {paths['dataset']}; rerun featurize")
+    return matrix, meta
+
+
 def cmd_ingest(cfg: RunConfig) -> int:
     paths = _dataset_paths(cfg)
     registry = _registry(cfg)
@@ -365,9 +382,7 @@ def _screen_all(matrix: FeatureMatrix, meta, cfg: RunConfig):
 def cmd_screen(cfg: RunConfig) -> int:
     paths = _dataset_paths(cfg)
     registry = _registry(cfg)
-    _require(paths["features"], "feature matrix (run featurize first)")
-    matrix = FeatureMatrix.load(paths["features"], paths["features_meta"])
-    _, meta = _load_dataset(_require(paths["dataset"], "dataset file"), registry)
+    matrix, meta = _load_features_and_dataset(paths, registry)
     rows, notes = _screen_all(matrix, meta, cfg)
     with paths["screening"].open("w", encoding="utf-8", newline="") as fh:
         fh.write(f"# alpha={cfg.alpha}\n")
@@ -400,10 +415,7 @@ def _screened_by_band(matrix, meta, cfg):
 def cmd_evaluate(cfg: RunConfig) -> int:
     paths = _dataset_paths(cfg)
     registry = _registry(cfg)
-    matrix = FeatureMatrix.load(
-        _require(paths["features"], "feature matrix (run featurize first)"),
-        paths["features_meta"])
-    _, meta = _load_dataset(_require(paths["dataset"], "dataset file"), registry)
+    matrix, meta = _load_features_and_dataset(paths, registry)
     fmeta = json.loads(paths["features_meta"].read_text(encoding="utf-8"))
     bands = [m["goal_band"] for m in meta]
     labels = _labels_for_target(meta, cfg.target)
@@ -426,10 +438,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     paths = _dataset_paths(cfg)
     registry = _registry(cfg)
-    matrix = FeatureMatrix.load(
-        _require(paths["features"], "feature matrix (run featurize first)"),
-        paths["features_meta"])
-    _, meta = _load_dataset(_require(paths["dataset"], "dataset file"), registry)
+    matrix, meta = _load_features_and_dataset(paths, registry)
     try:
         setting = Setting(cfg.train_setting)
     except ValueError:
@@ -462,6 +471,21 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
+def _load_band_model(model_dir: Path, band: str):
+    """A band's forest and the feature layout it was trained on."""
+    model = rf.RandomForest.load(model_dir / f"{band}.json")
+    meta_path = model_dir / f"{band}_meta.json"
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        setting = Setting(meta["setting"])
+        base_names, medians, out_names = meta["base_names"], meta["medians"], meta["out_names"]
+    except (KeyError, TypeError, ValueError):
+        raise SchemaError(f"{meta_path} is not a model layout this version reads; retrain") from None
+    if list(model.feature_names) != out_names:
+        raise SchemaError(f"{meta_path} does not describe the columns of {band}.json; retrain")
+    return model, setting, base_names, medians, out_names
+
+
 def cmd_predict(cfg: RunConfig, campaign_file: str) -> int:
     paths = _dataset_paths(cfg)
     registry = _registry(cfg)
@@ -469,43 +493,35 @@ def cmd_predict(cfg: RunConfig, campaign_file: str) -> int:
     src = _require(Path(campaign_file), "campaign file")
     campaigns, _ = load_campaigns(src, registry)
     matrix = build_feature_matrix(campaigns, registry, **_feature_inputs(cfg))
-    models = {}
-    metas = {}
-    for band in ("B1", "B2", "B3", "B4"):
-        mp = Path(model_dir) / f"{band}.json"
-        if mp.is_file():
-            models[band] = rf.RandomForest.load(mp)
-            metas[band] = json.loads((Path(model_dir) / f"{band}_meta.json").read_text(encoding="utf-8"))
+    models = {band: _load_band_model(model_dir, band) for band in ("B1", "B2", "B3", "B4")
+              if (model_dir / f"{band}.json").is_file()}
     if not models:
         raise ConfigError(f"no trained models found under {model_dir}")
+    bands = [assign_goal_band(c.goal_amount) for c in campaigns]
+    rows = [[c.id, b.name if b else "OutOfRange", "", "", "", ""] for c, b in zip(campaigns, bands)]
+    # Score each band in one batch on the same feature path as train.
+    for band, (model, setting, base_names, medians, out_names) in models.items():
+        idx = [i for i, b in enumerate(bands) if b is not None and b.name == band]
+        if not idx:
+            continue
+        sub = assemble(matrix.take_rows(idx), setting)
+        if sub.names != base_names:
+            raise SchemaError(f"features for {band} differ from the ones its model was trained on "
+                              f"(lexicon or registry changed?); retrain or use the training inputs")
+        proba = model.predict_proba(apply_imputation(sub.values, sub.names, medians, out_names))
+        importances = model.feature_importances()
+        top = ";".join(model.feature_names[j] for j in np.argsort(-importances)[:5] if importances[j] > 0)
+        missing = np.isnan(sub.values)
+        for r, i in enumerate(idx):
+            k = int(np.argmax(proba[r]))
+            imputed = ";".join(n for n, miss in zip(sub.names, missing[r]) if miss)
+            rows[i][2:] = [int(model.labels[k]), f"{proba[r, k]:.6f}", top, imputed]
     Path(cfg.out).mkdir(parents=True, exist_ok=True)
     with paths["predictions"].open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "goal_band", "predicted_class", "probability",
                          "top_features", "imputed_features"])
-        for i, c in enumerate(campaigns):
-            band = assign_goal_band(c.goal_amount)
-            if band is None or band.name not in models:
-                writer.writerow([c.id, band.name if band else "OutOfRange", "", "", "", ""])
-                continue
-            model = models[band.name]
-            bmeta = metas[band.name]
-            sub = matrix.take_rows([i]).select_names(bmeta["base_names"])
-            order = [sub.names.index(n) for n in bmeta["base_names"]]
-            row_vals = sub.values[:, order]
-            imputed = [bmeta["base_names"][j] for j in range(len(order))
-                       if np.isnan(row_vals[0, j])]
-            X = apply_imputation(row_vals, bmeta["base_names"], bmeta["medians"], bmeta["out_names"])
-            if X.shape[1] != model.n_features:
-                raise SchemaError(
-                    f"feature mismatch for {band.name}: model expects {model.n_features}, got {X.shape[1]}")
-            proba = model.predict_proba(X)[0]
-            k = int(np.argmax(proba))
-            importances = model.feature_importances()
-            top = np.argsort(-importances)[:5]
-            top_names = ";".join(model.feature_names[j] for j in top if importances[j] > 0)
-            writer.writerow([c.id, band.name, int(model.labels[k]), f"{proba[k]:.6f}",
-                             top_names, ";".join(imputed)])
+        writer.writerows(rows)
     print(f"predict: {len(campaigns)} campaigns -> {paths['predictions']}")
     return 0
 

@@ -40,17 +40,16 @@ SETTING_MODALITIES = {
 LATE_FUSION_GROUPS = (("text",), ("image_quality", "face"))
 
 
-def assemble(matrix: FeatureMatrix, setting: Setting, screened_names=None) -> FeatureMatrix:
-    """Column filter for a setting; optionally gated to screened features.
+def _columns(matrix: FeatureMatrix, modalities, screened_names=None) -> FeatureMatrix:
+    """The columns of some modalities, optionally gated to screened features.
 
     In screened mode only features found significant for the cell are kept
-    (the two-step screen-then-classify procedure); basic columns are never
-    gated since screening covers the non-basic modalities.
+    (the two-step screen-then-classify procedure); basic columns and
+    missingness indicators are never gated, since screening covers the
+    non-basic feature columns.
     """
-    if setting == Setting.LATE_FUSION:
-        raise EmptySetting("LateFusion assembles per modality group; use assemble per group")
-    sub = matrix.select_modalities(SETTING_MODALITIES[setting])
-    if screened_names is not None and setting != Setting.BASIC:
+    sub = matrix.select_modalities(modalities)
+    if screened_names is not None:
         keep = [
             n for n, m in zip(sub.names, sub.modalities)
             if m == "basic" or n in screened_names or n.endswith("_missing")
@@ -59,29 +58,11 @@ def assemble(matrix: FeatureMatrix, setting: Setting, screened_names=None) -> Fe
     return sub
 
 
-def early_fuse(matrices) -> FeatureMatrix:
-    """Column-wise concatenation of row-aligned matrices."""
-    matrices = list(matrices)
-    if not matrices:
-        raise ShapeError("early_fuse needs at least one matrix")
-    first = matrices[0]
-    for m in matrices[1:]:
-        if m.ids != first.ids:
-            raise ShapeError("early_fuse requires identical campaign id order")
-    names: list = []
-    modalities: list = []
-    for m in matrices:
-        for n in m.names:
-            if n in names:
-                raise ShapeError(f"duplicate column {n!r} in early fusion")
-        names.extend(m.names)
-        modalities.extend(m.modalities)
-    return FeatureMatrix(
-        ids=first.ids,
-        names=names,
-        modalities=modalities,
-        values=np.hstack([m.values for m in matrices]),
-    )
+def assemble(matrix: FeatureMatrix, setting: Setting, screened_names=None) -> FeatureMatrix:
+    """Column filter for a single-model setting; see _columns for the gate."""
+    if setting == Setting.LATE_FUSION:
+        raise EmptySetting("LateFusion assembles per modality group; use assemble per group")
+    return _columns(matrix, SETTING_MODALITIES[setting], screened_names)
 
 
 def late_fuse_proba(models, xs) -> np.ndarray:
@@ -297,12 +278,8 @@ def _fit_predict(matrix_train, matrix_test, y_train, cfg: ExperimentConfig,
         models = []
         xs = []
         for gi, group in enumerate(LATE_FUSION_GROUPS):
-            sub_tr = matrix_train.select_modalities(group)
-            sub_te = matrix_test.select_modalities(group)
-            if screened_names is not None:
-                keep = [n for n in sub_tr.names if n in screened_names or n.endswith("_missing")]
-                sub_tr = sub_tr.select_names(keep)
-                sub_te = sub_te.select_names(keep)
+            sub_tr = _columns(matrix_train, group, screened_names)
+            sub_te = _columns(matrix_test, group, screened_names)
             Xtr, Xte, names, _ = impute_with_indicators(sub_tr.values, sub_te.values, sub_tr.names)
             fc = rf.ForestConfig(**{**asdict(cfg.forest), "seed": _derived_seed(*seed_parts, "late", gi)})
             models.append(rf.fit(Xtr, y_train, fc, feature_names=names, jobs=cfg.jobs))

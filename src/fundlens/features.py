@@ -222,61 +222,46 @@ def build_feature_matrix(
 
 
 def impute_with_indicators(train_values: np.ndarray, apply_values: np.ndarray, names):
-    """Median-impute NaNs using training medians; append an indicator column
-    per feature that has any missing training or apply value.
+    """Fit median imputation on the training rows and apply it to both sides.
+
+    Every column stores its training median (0.0 when it has no finite
+    training value); a ``<name>__missing`` indicator is added for each
+    column with a NaN in training. Both sides go through apply_imputation.
 
     Returns (train_imputed, apply_imputed, out_names, medians).
     """
-    train = np.array(train_values, dtype=np.float64, copy=True)
-    apply_ = np.array(apply_values, dtype=np.float64, copy=True)
-    out_names = list(names)
-    medians = {}
-    extra_train = []
-    extra_apply = []
-    for j, name in enumerate(names):
-        col_t = train[:, j]
-        col_a = apply_[:, j]
-        nan_t = np.isnan(col_t)
-        nan_a = np.isnan(col_a)
-        if not nan_t.any() and not nan_a.any():
-            continue
-        finite = col_t[~nan_t]
-        med = float(np.median(finite)) if finite.size else 0.0
-        medians[name] = med
-        col_t[nan_t] = med
-        col_a[nan_a] = med
-        extra_train.append(nan_t.astype(np.float64))
-        extra_apply.append(nan_a.astype(np.float64))
-        out_names.append(f"{name}__missing")
-    if extra_train:
-        train = np.column_stack([train, *extra_train])
-        apply_ = np.column_stack([apply_, *extra_apply])
-    return train, apply_, out_names, medians
+    train = np.asarray(train_values, dtype=np.float64)
+    med = np.median(train, axis=0)
+    gappy = np.flatnonzero(np.isnan(train).any(axis=0))
+    for j in gappy:
+        finite = train[~np.isnan(train[:, j]), j]
+        med[j] = np.median(finite) if finite.size else 0.0
+    medians = dict(zip(names, med.tolist()))
+    out_names = [*names, *(f"{names[j]}__missing" for j in gappy)]
+    return (apply_imputation(train, names, medians, out_names),
+            apply_imputation(apply_values, names, medians, out_names),
+            out_names, medians)
 
 
 def apply_imputation(values: np.ndarray, names, medians: dict, out_names):
-    """Re-apply stored training medians at prediction time."""
-    vals = np.array(values, dtype=np.float64, copy=True)
-    extra = []
+    """The one imputation transform, for training and prediction rows alike.
+
+    Fills every NaN with its column's training median and appends the
+    trained indicator columns (1.0 where the value was missing).
+    """
+    names = list(names)
+    if set(medians) != set(names):
+        raise SchemaError("stored medians do not match the feature columns; retrain the model")
+    if list(out_names[: len(names)]) != names:
+        raise SchemaError("model expects its feature columns in a different order")
     base = {n: j for j, n in enumerate(names)}
-    for name in out_names:
-        if name in base:
-            continue
-        if not name.endswith("__missing"):
-            raise SchemaError(f"model expects unknown feature {name!r}")
-        src = name[: -len("__missing")]
+    indicators = []
+    for name in out_names[len(names):]:
+        src = name[: -len("__missing")] if name.endswith("__missing") else None
         if src not in base:
             raise SchemaError(f"model expects unknown feature {name!r}")
-        extra.append(np.isnan(vals[:, base[src]]).astype(np.float64))
-    for name, med in medians.items():
-        j = base.get(name)
-        if j is None:
-            raise SchemaError(f"stored median for unknown feature {name!r}")
-        col = vals[:, j]
-        col[np.isnan(col)] = med
-    if extra:
-        vals = np.column_stack([vals, *extra])
-    if np.isnan(vals).any():
-        bad = [names[j] for j in np.where(np.isnan(vals).any(axis=0))[0] if j < len(names)]
-        raise SchemaError(f"missing values remain after imputation in columns {bad}")
-    return vals
+        indicators.append(base[src])
+    vals = np.asarray(values, dtype=np.float64)
+    missing = np.isnan(vals)
+    filled = np.where(missing, np.asarray([medians[n] for n in names], dtype=np.float64), vals)
+    return np.hstack([filled, missing[:, indicators].astype(np.float64)])

@@ -1,10 +1,12 @@
 """Image-quality scores and face attributes via pluggable providers.
 
 The learned quality model and the commercial face service are out of scope;
-this module offers (a) a documented deterministic surrogate quality scorer,
-(b) a precomputed-score table so real model outputs can be injected, and
-(c) a face provider that reads offline sidecar files. Reports always carry
-the provider tag so surrogate numbers are never mistaken for model outputs.
+this module offers (a) a precomputed-score table so real model outputs can
+be injected, (b) a face provider that reads offline sidecar files, and (c) a
+documented deterministic surrogate quality scorer over pixel arrays, which
+no pipeline stage calls yet (featurize reads quality scores only from the
+table). Reports always carry the provider tag so surrogate numbers are
+never mistaken for model outputs.
 """
 
 from __future__ import annotations
@@ -158,40 +160,6 @@ def aggregate_face_features(faces) -> CampaignFaceFeatures:
         mean_beauty=sum((f.beauty_female_rater + f.beauty_male_rater) / 2.0 for f in faces) / n,
         mean_emotion={k: sum(f.emotion[k] for f in faces) / n for k in EMOTION_KEYS},
     )
-
-
-def read_pnm(path) -> np.ndarray:
-    """Minimal binary PGM (P5) / PPM (P6) decoder, maxval <= 255."""
-    data = Path(path).read_bytes()
-    tokens = []
-    i = 0
-    while len(tokens) < 4 and i < len(data):
-        if data[i : i + 1].isspace():
-            i += 1
-            continue
-        if data[i : i + 1] == b"#":
-            while i < len(data) and data[i : i + 1] != b"\n":
-                i += 1
-            continue
-        j = i
-        while j < len(data) and not data[j : j + 1].isspace():
-            j += 1
-        tokens.append(data[i:j])
-        i = j
-    if len(tokens) < 4 or tokens[0] not in (b"P5", b"P6"):
-        raise InvalidImage(f"not a binary PGM/PPM file: {path}")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if maxval > 255:
-        raise InvalidImage("only 8-bit PNM files are supported")
-    i += 1  # single whitespace after maxval
-    channels = 1 if tokens[0] == b"P5" else 3
-    expected = width * height * channels
-    if len(data) - i < expected:
-        raise InvalidImage(f"truncated raster in {path}")
-    raster = np.frombuffer(data, dtype=np.uint8, count=expected, offset=i)
-    if channels == 1:
-        return raster.reshape(height, width)
-    return raster.reshape(height, width, 3)
 
 
 def _colorfulness(pixels: np.ndarray) -> float:

@@ -100,6 +100,15 @@ def student_t_cdf(t: float, df: float) -> float:
     return 1.0 - tail if t > 0 else tail
 
 
+def _t_two_sided_p(t: float, df: float) -> float:
+    """P(|T| >= |t|) = I_x(df/2, 1/2) with x = df / (df + t^2).
+
+    Computed directly, not as 2 * (1 - cdf), so that small p-values keep
+    their relative precision instead of cancelling to 0.
+    """
+    return incomplete_beta(df / (df + t * t), df / 2.0, 0.5)
+
+
 def pearson_r(x, y) -> float:
     """Sample Pearson correlation, clipped to [-1, 1] against rounding."""
     x = np.asarray(x, dtype=np.float64)
@@ -128,7 +137,7 @@ def pearson_p(r: float, n: int) -> float:
     if abs(r) == 1.0:
         return 0.0  # limit case, no division
     t = abs(r) * math.sqrt((n - 2) / (1.0 - r * r))
-    return 2.0 * (1.0 - student_t_cdf(t, n - 2))
+    return _t_two_sided_p(t, n - 2)
 
 
 @dataclass(frozen=True)
@@ -164,7 +173,7 @@ def two_sample_t(a, b) -> TTestResult:
         return TTestResult(t=t, df=df, p=0.0, mean_a=m1, mean_b=m2, n_a=n1, n_b=n2)
     se = math.sqrt(pooled * (1.0 / n1 + 1.0 / n2))
     t = (m1 - m2) / se
-    p = 2.0 * (1.0 - student_t_cdf(abs(t), df))
+    p = _t_two_sided_p(t, df)
     return TTestResult(t=t, df=df, p=p, mean_a=m1, mean_b=m2, n_a=n1, n_b=n2)
 
 

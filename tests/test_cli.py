@@ -1,4 +1,6 @@
+import csv
 import json
+import random
 import shutil
 from pathlib import Path
 
@@ -217,3 +219,82 @@ def test_malformed_dataset_exits_3(pipeline_dir, tmp_path, capsys, command, corr
     (tmp_path / "dataset.jsonl").write_text("\n".join(lines) + "\n")
     assert main([command, *base, "--out", str(tmp_path)]) == 3
     assert "dataset.jsonl, line 5" in capsys.readouterr().err
+
+
+def test_reordered_dataset_exits_3(pipeline_dir, tmp_path, capsys):
+    # features.csv rows must be the dataset.jsonl campaigns in the same order;
+    # matching by position alone would screen and train on the wrong labels.
+    root, out, base = pipeline_dir
+    for name in ("dataset.jsonl", "features.csv", "features_meta.json"):
+        shutil.copy(out / name, tmp_path / name)
+    lines = (tmp_path / "dataset.jsonl").read_text().splitlines()
+    random.Random(0).shuffle(lines)
+    (tmp_path / "dataset.jsonl").write_text("\n".join(lines) + "\n")
+    for command in ("screen", "evaluate", "train"):
+        assert main([command, *base, "--out", str(tmp_path), "--trees", "2"]) == 3, command
+        assert "rerun featurize" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "dataset.jsonl", "features.csv", "features_meta.json"]
+
+
+@pytest.fixture(scope="module")
+def served(pipeline_dir):
+    """Models trained on the shared run, plus fresh campaigns to score:
+    two per band, the second of B1 without a cover image."""
+    root, out, base = pipeline_dir
+    models = root / "serve_models"
+    assert main(["train", *base, "--trees", "5", "--models", str(models)]) == 0
+    records = [json.loads(line) for line in (root / "data" / "campaigns.jsonl").read_text().splitlines()]
+    fresh = []
+    for band_goal in (lambda g: g <= 8_000, lambda g: 8_000 < g <= 40_000):
+        fresh.extend([r for r in records if band_goal(r["goal_amount"])][:2])
+    for i, r in enumerate(fresh):
+        r["id"] = f"fresh{i}"
+    fresh[1]["cover_image"] = None
+    batch = root / "fresh.jsonl"
+    batch.write_text("".join(json.dumps(r) + "\n" for r in fresh))
+    return models, batch
+
+
+def _predictions(path):
+    with path.open(newline="") as fh:
+        return {row["id"]: row for row in csv.DictReader(fh)}
+
+
+def test_predict_imputes_a_campaign_without_cover(pipeline_dir, served, tmp_path):
+    root, out, base = pipeline_dir
+    models, batch = served
+    assert main(["predict", *base, "--out", str(tmp_path), "--models", str(models), str(batch)]) == 0
+    rows = _predictions(tmp_path / "predictions.csv")
+    assert list(rows) == ["fresh0", "fresh1", "fresh2", "fresh3"]
+    assert {r["goal_band"] for r in rows.values()} == {"B1", "B2"}
+    assert all(r["predicted_class"] in ("-2", "2") for r in rows.values())
+    imputed = set(rows["fresh1"]["imputed_features"].split(";"))
+    assert {"aesthetic_score", "technical_score", "num_faces", "any_smile",
+            "face_mean_age", "face_emotion_anger"} <= imputed
+    assert not {"image_quality_missing", "face_missing"} & imputed
+    assert "aesthetic_score" not in rows["fresh0"]["imputed_features"]
+
+
+def test_predict_with_changed_features_exits_3_before_writing(pipeline_dir, served, tmp_path, capsys):
+    root, out, base = pipeline_dir
+    models, batch = served
+    lexicon = tmp_path / "renamed.dic"
+    demo = (Path(__file__).parents[1] / "src" / "fundlens" / "data" / "demo_lexicon.dic").read_text()
+    lexicon.write_text(demo.replace("5\tthey\n", "5\tthem\n", 1))
+    predictions = tmp_path / "predictions.csv"
+    predictions.write_text("untouched\n")
+    args = ["predict", *base, "--out", str(tmp_path), "--models", str(models)]
+    assert main([*args, "--lexicon", str(lexicon), str(batch)]) == 3
+    assert "retrain" in capsys.readouterr().err
+    assert predictions.read_text() == "untouched\n"
+
+    # Model metadata written before every column stored its training median.
+    old = tmp_path / "old_models"
+    shutil.copytree(models, old)
+    meta = json.loads((old / "B1_meta.json").read_text())
+    meta["medians"] = {n: v for n, v in meta["medians"].items() if f"{n}__missing" in meta["out_names"]}
+    (old / "B1_meta.json").write_text(json.dumps(meta))
+    assert main(["predict", *base, "--out", str(tmp_path), "--models", str(old), str(batch)]) == 3
+    assert "retrain" in capsys.readouterr().err
+    assert predictions.read_text() == "untouched\n"

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fundlens.errors import LabelError, ShapeError
+from fundlens.errors import LabelError
 from fundlens.experiment import (
     ExperimentConfig,
     LATE_FUSION_GROUPS,
     Setting,
     assemble,
     compute_metrics,
-    early_fuse,
     late_fuse,
     late_fuse_proba,
     run_experiment,
@@ -52,28 +51,6 @@ def test_assemble_screened_gate_spares_basic():
     # Basic is never screened out even with an empty gate.
     basic = assemble(m, Setting.BASIC, screened_names=set())
     assert basic.names == ["launch_year"]
-
-
-def test_early_fuse_matches_pre_concatenated_fit():
-    m = _matrix(n=60, seed=1)
-    rng = np.random.default_rng(2)
-    y = np.where(m.column("liwc_we") + m.column("aesthetic_score") > 0, 2, -2)
-    fused = early_fuse([assemble(m, Setting.LIWC), assemble(m, Setting.IMAGE_QUALITY)])
-    direct = m.select_names(["word_count", "liwc_we", "aesthetic_score"])
-    assert fused.names == direct.names
-    np.testing.assert_array_equal(fused.values, direct.values)
-    cfg = ForestConfig(n_estimators=10, seed=0)
-    a = fit(fused.values, y, cfg)
-    b = fit(direct.values, y, cfg)
-    np.testing.assert_array_equal(a.predict(m.values[:, 1:4]), b.predict(m.values[:, 1:4]))
-
-
-def test_early_fuse_rejects_misaligned_ids():
-    a = _matrix(n=4, seed=0)
-    b = _matrix(n=4, seed=0)
-    b.ids = list(reversed(b.ids))
-    with pytest.raises(ShapeError):
-        early_fuse([assemble(a, Setting.LIWC), assemble(b, Setting.FACE)])
 
 
 def test_late_fuse_average():

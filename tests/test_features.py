@@ -114,23 +114,27 @@ def test_build_feature_matrix_columns(registry, lexicon, tmp_path):
 
 
 def test_impute_with_indicators():
-    train = np.array([[1.0, np.nan], [3.0, 4.0], [5.0, 8.0]])
-    test = np.array([[np.nan, 2.0]])
-    tr, te, out_names, medians = impute_with_indicators(train, test, ["a", "b"])
-    assert out_names == ["a", "b", "a__missing", "b__missing"]
-    assert medians == {"a": 3.0, "b": 6.0}
-    np.testing.assert_allclose(tr[:, 1], [6.0, 4.0, 8.0])
-    np.testing.assert_allclose(tr[:, 2], [0.0, 0.0, 0.0])  # train "a" had no NaN
-    np.testing.assert_allclose(te[0], [3.0, 2.0, 1.0, 0.0])
-    assert not np.isnan(tr).any() and not np.isnan(te).any()
+    # Medians and indicators are fitted on the training rows only: "a" has
+    # no training NaN, so its NaN on the apply side is filled without an
+    # indicator; "c" has no finite training value and gets median 0.0.
+    train = np.array([[1.0, np.nan, np.nan], [3.0, 4.0, np.nan], [5.0, 8.0, np.nan]])
+    test = np.array([[np.nan, 2.0, 7.0]])
+    tr, te, out_names, medians = impute_with_indicators(train, test, ["a", "b", "c"])
+    assert out_names == ["a", "b", "c", "b__missing", "c__missing"]
+    assert medians == {"a": 3.0, "b": 6.0, "c": 0.0}
+    np.testing.assert_array_equal(tr, [[1.0, 6.0, 0.0, 1.0, 1.0],
+                                       [3.0, 4.0, 0.0, 0.0, 1.0],
+                                       [5.0, 8.0, 0.0, 0.0, 1.0]])
+    np.testing.assert_array_equal(te, [[3.0, 2.0, 7.0, 0.0, 0.0]])
 
 
 def test_impute_no_missing_is_identity():
     train = np.array([[1.0, 2.0], [3.0, 4.0]])
     tr, te, out_names, medians = impute_with_indicators(train, train, ["a", "b"])
     np.testing.assert_array_equal(tr, train)
+    np.testing.assert_array_equal(te, train)
     assert out_names == ["a", "b"]
-    assert medians == {}
+    assert medians == {"a": 2.0, "b": 3.0}
 
 
 def test_apply_imputation_matches_training_transform():
@@ -143,4 +147,8 @@ def test_apply_imputation_matches_training_transform():
 
 def test_apply_imputation_rejects_unknown_columns():
     with pytest.raises(SchemaError):
-        apply_imputation(np.ones((1, 1)), ["a"], {}, ["a", "mystery"])
+        apply_imputation(np.ones((1, 1)), ["a"], {"a": 0.0}, ["a", "mystery"])
+    # Medians stored for only some columns (the layout before every column
+    # had one) cannot fill every NaN.
+    with pytest.raises(SchemaError, match="retrain"):
+        apply_imputation(np.ones((1, 2)), ["a", "b"], {"a": 0.0}, ["a", "b"])

@@ -152,6 +152,17 @@ def test_predict_proba_properties():
     np.testing.assert_array_equal(model.predict(X), model.labels[np.argmax(proba, axis=1)])
 
 
+def test_batched_predict_proba_equals_per_row_calls():
+    # predict scores a whole band in one call; every row must get exactly
+    # the probabilities a call on that row alone gives.
+    X, y = _blobs(n=150, d=3, seed=4, sep=1.0)
+    model = fit(X, y, ForestConfig(n_estimators=25, max_depth=4, seed=1))
+    batched = model.predict_proba(X)
+    stacked = np.vstack([model.predict_proba(X[i : i + 1]) for i in range(X.shape[0])])
+    assert batched.tobytes() == stacked.tobytes()
+    assert len(np.unique(batched[:, 0])) > 2  # leaves hold mixed classes
+
+
 def test_predict_tie_breaks_to_lower_label():
     # A forest with zero splits predicts the prior; craft an exact tie.
     X = np.array([[0.0], [0.0], [0.0], [0.0]])

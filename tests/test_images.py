@@ -15,7 +15,6 @@ from fundlens.images import (
     builtin_quality_score,
     load_precomputed_quality,
     parse_face,
-    read_pnm,
     sidecar_path,
     write_sidecar,
 )
@@ -126,37 +125,6 @@ def test_stub_provider_reads_sidecars(tmp_path):
 # ---------------------------------------------------------------------------
 # PNM decoding and quality surrogates
 # ---------------------------------------------------------------------------
-
-def _write_pnm(path, arr):
-    arr = np.asarray(arr, dtype=np.uint8)
-    if arr.ndim == 2:
-        header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n"
-    else:
-        header = f"P6\n{arr.shape[1]} {arr.shape[0]}\n255\n"
-    path.write_bytes(header.encode("ascii") + arr.tobytes())
-
-
-def test_read_pnm_roundtrip(tmp_path):
-    rng = np.random.default_rng(0)
-    gray = rng.integers(0, 256, size=(10, 12), dtype=np.uint8)
-    color = rng.integers(0, 256, size=(9, 8, 3), dtype=np.uint8)
-    p5, p6 = tmp_path / "g.pgm", tmp_path / "c.ppm"
-    _write_pnm(p5, gray)
-    _write_pnm(p6, color)
-    np.testing.assert_array_equal(read_pnm(p5), gray)
-    np.testing.assert_array_equal(read_pnm(p6), color)
-
-
-def test_read_pnm_rejects_garbage(tmp_path):
-    bad = tmp_path / "bad.ppm"
-    bad.write_bytes(b"JFIF not a pnm")
-    with pytest.raises(InvalidImage):
-        read_pnm(bad)
-    trunc = tmp_path / "trunc.pgm"
-    trunc.write_bytes(b"P5\n4 4\n255\nxx")
-    with pytest.raises(InvalidImage):
-        read_pnm(trunc)
-
 
 def test_quality_constant_image_is_floor():
     # Zero gradient and zero contrast: technical = aesthetic = 1.0 exactly.

@@ -154,6 +154,18 @@ def test_pearson_p_perfect_correlation():
     assert pearson_p(0.0, 10) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n, r", [(1000, 0.25), (10_000, 0.1), (1000, 0.865)],
+                         ids=["p-1e-15", "p-1e-23", "p-4e-301"])
+def test_pearson_p_tail_matches_scipy(n, r):
+    # 2 * (1 - cdf) cancels in the tail (8% off at 1e-15, 0 at 1e-23); the
+    # direct upper tail keeps full relative precision down to ~1e-300.
+    df = n - 2
+    want = 2.0 * float(scipy_stats.t.sf(r * math.sqrt(df / (1.0 - r * r)), df))
+    assert want > 0.0
+    assert pearson_p(r, n) == pytest.approx(want, rel=1e-10, abs=0.0)
+    assert pearson_p(-r, n) == pearson_p(r, n)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**31),
@@ -193,6 +205,15 @@ def test_two_sample_t_matches_scipy():
         want = scipy_stats.ttest_ind(a, b)
         assert res.t == pytest.approx(float(want.statistic), abs=1e-10)
         assert res.p == pytest.approx(float(want.pvalue), abs=1e-10)
+
+
+@pytest.mark.parametrize("n, shift", [(200, 0.5), (500, 0.85)], ids=["p-6e-50", "p-2e-251"])
+def test_two_sample_t_tail_matches_scipy(n, shift):
+    a = np.linspace(0.0, 1.0, n)
+    res = two_sample_t(a, a + shift)
+    want = 2.0 * float(scipy_stats.t.sf(abs(res.t), res.df))
+    assert want > 0.0
+    assert res.p == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
