@@ -39,8 +39,9 @@ python3 -m fundlens.cli synth "${COMMON[@]}" --out "$DATA" "$SPEC"
 python3 -m fundlens.cli ingest "${COMMON[@]}"
 python3 -m fundlens.cli featurize "${COMMON[@]}"
 python3 -m fundlens.cli screen "${COMMON[@]}"
-python3 -m fundlens.cli evaluate "${COMMON[@]}" --trees 100 --max-depth 8 --cv-folds 5
-python3 -m fundlens.cli train "${COMMON[@]}" --trees 100 --max-depth 8
+# --jobs only schedules the forest fits on worker processes; outputs are identical.
+python3 -m fundlens.cli evaluate "${COMMON[@]}" --trees 100 --max-depth 8 --cv-folds 5 --jobs 2
+python3 -m fundlens.cli train "${COMMON[@]}" --trees 100 --max-depth 8 --jobs 2
 # Serve the trained models on the cohort itself (any JSONL of campaigns works).
 python3 -m fundlens.cli predict "${COMMON[@]}" "$DATA/campaigns.jsonl"
 python3 -m fundlens.cli report "${COMMON[@]}"

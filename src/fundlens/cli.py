@@ -124,7 +124,6 @@ class RunConfig:
             target=self.target,
             assembly=self.assembly,
             full_settings_bands=self.full_settings_bands,
-            jobs=self.jobs,
         )
 
 
@@ -174,6 +173,8 @@ def load_config(path: Optional[str], args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"assembly must be all-features or screened, got {cfg.assembly!r}")
     if not set(cfg.full_settings_bands) <= {"B1", "B2", "B3", "B4"}:
         raise ConfigError(f"full_settings_bands must name bands B1-B4, got {cfg.full_settings_bands!r}")
+    if cfg.jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {cfg.jobs}")
     return cfg
 
 
@@ -428,6 +429,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             "lexicon_fingerprint": fmeta.get("lexicon_fingerprint", ""),
             "alpha": cfg.alpha,
         },
+        jobs=cfg.jobs,
     )
     paths["report_csv"].write_text(report.to_csv_text(), encoding="utf-8")
     paths["report_json"].write_text(report.to_json_text(), encoding="utf-8")
@@ -449,7 +451,9 @@ def cmd_train(cfg: RunConfig) -> int:
     bands = [m["goal_band"] for m in meta]
     model_dir = paths["models"]
     model_dir.mkdir(parents=True, exist_ok=True)
-    trained = []
+    forest = cfg.forest_config(seed=cfg.seed)
+    fits = []   # _fit_band arguments, one per trained band
+    metas = []  # the matching _meta.json contents
     for band in ("B1", "B2", "B3", "B4"):
         idx = np.asarray([i for i, (b, lab) in enumerate(zip(bands, labels))
                           if b == band and lab is not None], dtype=np.intp)
@@ -457,18 +461,24 @@ def cmd_train(cfg: RunConfig) -> int:
             continue
         sub = assemble(matrix.take_rows(idx), setting)
         y = np.asarray([labels[i] for i in idx])
-        X, _, names, medians = impute_with_indicators(sub.values, sub.values, sub.names)
-        model = rf.fit(X, y, cfg.forest_config(seed=cfg.seed), feature_names=names, jobs=cfg.jobs)
-        model.save(model_dir / f"{band}.json")
-        (model_dir / f"{band}_meta.json").write_text(json.dumps({
-            "band": band, "setting": setting.value, "target": cfg.target,
-            "base_names": sub.names, "out_names": names, "medians": medians,
-        }, sort_keys=True, indent=1), encoding="utf-8")
-        trained.append(band)
-    if not trained:
+        X, _, names, medians = impute_with_indicators(sub.values, None, sub.names)
+        fits.append((X, y, forest, names))
+        metas.append({"band": band, "setting": setting.value, "target": cfg.target,
+                      "base_names": sub.names, "out_names": names, "medians": medians})
+    if not fits:
         raise DataError("no band had enough labeled campaigns to train")
-    print(f"train: models for {','.join(trained)} -> {model_dir}")
+    # One pool for the stage: the bands are fitted in parallel, saved in band order.
+    for meta, model in zip(metas, rf.parallel_map(_fit_band, fits, cfg.jobs)):
+        model.save(model_dir / f"{meta['band']}.json")
+        (model_dir / f"{meta['band']}_meta.json").write_text(
+            json.dumps(meta, sort_keys=True, indent=1), encoding="utf-8")
+    print(f"train: models for {','.join(m['band'] for m in metas)} -> {model_dir}")
     return 0
+
+
+def _fit_band(args):
+    X, y, config, names = args
+    return rf.fit(X, y, config, feature_names=names)
 
 
 def _load_band_model(model_dir: Path, band: str):

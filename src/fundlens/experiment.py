@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from enum import Enum
 from typing import Optional
 
@@ -181,7 +181,6 @@ class ExperimentConfig:
     #: Bands that run all settings; the rest run Basic only (no extra
     #: significant features were found in the high-goal bands).
     full_settings_bands: tuple = ("B1", "B2")
-    jobs: int = 1
 
     def fingerprint(self) -> str:
         payload = asdict(self)
@@ -271,41 +270,62 @@ def _derived_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(blob.encode()).digest()[:8], "big") >> 1
 
 
-def _fit_predict(matrix_train, matrix_test, y_train, cfg: ExperimentConfig,
-                 setting: Setting, seed_parts, screened_names=None):
-    """Train per the setting and return test predictions."""
+def _model_columns(matrix: FeatureMatrix, setting: Setting, screened_names=None) -> tuple:
+    """Column names of each model a setting trains: one model, or one per
+    late-fusion group. Raises EmptySetting when a model would have none."""
     if setting == Setting.LATE_FUSION:
-        models = []
-        xs = []
-        for gi, group in enumerate(LATE_FUSION_GROUPS):
-            sub_tr = _columns(matrix_train, group, screened_names)
-            sub_te = _columns(matrix_test, group, screened_names)
-            Xtr, Xte, names, _ = impute_with_indicators(sub_tr.values, sub_te.values, sub_tr.names)
-            fc = rf.ForestConfig(**{**asdict(cfg.forest), "seed": _derived_seed(*seed_parts, "late", gi)})
-            models.append(rf.fit(Xtr, y_train, fc, feature_names=names, jobs=cfg.jobs))
-            xs.append(Xte)
-        return late_fuse(models, xs)
-    sub_tr = assemble(matrix_train, setting, screened_names)
-    sub_te = assemble(matrix_test, setting, screened_names)
-    Xtr, Xte, names, _ = impute_with_indicators(sub_tr.values, sub_te.values, sub_tr.names)
-    fc = rf.ForestConfig(**{**asdict(cfg.forest), "seed": _derived_seed(*seed_parts)})
-    model = rf.fit(Xtr, y_train, fc, feature_names=names, jobs=cfg.jobs)
-    return model.predict(Xte)
+        return tuple(tuple(_columns(matrix, group, screened_names).names)
+                     for group in LATE_FUSION_GROUPS)
+    return (tuple(assemble(matrix, setting, screened_names).names),)
+
+
+@dataclass(frozen=True)
+class _FitTask:
+    """One holdout or CV fit: train the setting's model(s) on ``fit_rows`` of
+    a band and predict ``apply_rows``. Holds the whole band matrix and row
+    indices, so a planned task copies no rows until it runs."""
+    band: FeatureMatrix
+    y: np.ndarray          # labels of the band rows
+    fit_rows: np.ndarray
+    apply_rows: np.ndarray
+    columns: tuple         # from _model_columns
+    forest: rf.ForestConfig
+    seed_parts: tuple
+
+
+def _fit_predict(task: _FitTask) -> np.ndarray:
+    """Train per the task and return predictions for its apply rows."""
+    late = len(task.columns) > 1
+    models = []
+    xs = []
+    for gi, names in enumerate(task.columns):
+        sub = task.band.select_names(names)
+        Xtr, Xte, out_names, _ = impute_with_indicators(
+            sub.values[task.fit_rows], sub.values[task.apply_rows], sub.names)
+        seed = _derived_seed(*task.seed_parts, "late", gi) if late else _derived_seed(*task.seed_parts)
+        models.append(rf.fit(Xtr, task.y[task.fit_rows], replace(task.forest, seed=seed),
+                             feature_names=out_names))
+        xs.append(Xte)
+    return late_fuse(models, xs) if late else models[0].predict(xs[0])
 
 
 def run_experiment(bands, labels, matrix: FeatureMatrix, cfg: ExperimentConfig,
-                   screened_by_band=None, extra_header=None) -> ExperimentReport:
+                   screened_by_band=None, extra_header=None, jobs: int = 1) -> ExperimentReport:
     """Per-band 90/10 stratified holdout evaluation plus k-fold CV on the 90%.
 
     ``bands``/``labels`` align with matrix rows; None entries (dropped ratio,
     out-of-range goal) are excluded. Weighted totals use band test sizes.
+    Every fit is planned first (notes included), then all fits run through
+    one ``rf.parallel_map`` on up to ``jobs`` processes, then the rows are
+    scored in plan order, so the report does not depend on ``jobs``.
     """
     bands = list(bands)
     labels = list(labels)
     if len(bands) != len(matrix.ids) or len(labels) != len(matrix.ids):
         raise ShapeError("bands and labels must align with matrix rows")
     notes: list = []
-    rows: list = []
+    tasks: list = []
+    planned: list = []  # (band, setting, n_train, n_test, its tasks: holdout first, then CV folds)
     band_names = ("B1", "B2", "B3", "B4")
     for band in band_names:
         idx = np.asarray(
@@ -325,47 +345,45 @@ def run_experiment(bands, labels, matrix: FeatureMatrix, cfg: ExperimentConfig,
             notes.append(f"{band} holdout: {note}")
         test_rows = folds[0]
         train_rows = np.asarray(sorted(set(range(idx.size)) - set(test_rows.tolist())), dtype=np.intp)
-        m_train = sub.take_rows(train_rows)
-        m_test = sub.take_rows(test_rows)
         y_train = y_band[train_rows]
-        y_test = y_band[test_rows]
         screened_names = None
         if cfg.assembly == "screened" and screened_by_band is not None:
             screened_names = screened_by_band.get(band, set())
         settings = cfg.settings if band in cfg.full_settings_bands else (Setting.BASIC,)
         for setting in settings:
             try:
-                pred = _fit_predict(m_train, m_test, y_train, cfg, setting,
-                                    (cfg.seed, band, setting.value), screened_names)
+                columns = _model_columns(sub, setting, screened_names)
             except EmptySetting as exc:
                 notes.append(f"skipped {band}/{setting.value}: {exc}")
                 continue
-            holdout = compute_metrics(y_test, pred)
-            cv_means = None
+            first = len(tasks)
+            tasks.append(_FitTask(sub, y_band, train_rows, test_rows, columns, cfg.forest,
+                                  (cfg.seed, band, setting.value)))
             if cfg.cv_folds >= 2:
                 cv_folds, cv_note = stratified_kfold(
                     y_train, k=cfg.cv_folds, seed=_derived_seed(cfg.seed, band, setting.value, "cv"))
                 if cv_note:
                     notes.append(f"{band}/{setting.value} cv: {cv_note}")
-                acc = []
-                metric_rows = []
                 for fi, fold in enumerate(cv_folds):
                     tr = np.asarray(sorted(set(range(y_train.size)) - set(fold.tolist())), dtype=np.intp)
-                    pred_cv = _fit_predict(
-                        m_train.take_rows(tr), m_train.take_rows(fold), y_train[tr],
-                        cfg, setting, (cfg.seed, band, setting.value, "cv", fi), screened_names)
-                    metric_rows.append(compute_metrics(y_train[fold], pred_cv))
-                cv_means = {
-                    "accuracy": float(np.mean([m.accuracy for m in metric_rows])),
-                    "precision": float(np.mean([m.precision for m in metric_rows])),
-                    "recall": float(np.mean([m.recall for m in metric_rows])),
-                    "f1": float(np.mean([m.f1 for m in metric_rows])),
-                }
-            rows.append(ReportRow(
-                goal_band=band, setting=setting.value,
-                n_train=int(train_rows.size), n_test=int(test_rows.size),
-                holdout=holdout, cv=cv_means,
-            ))
+                    tasks.append(_FitTask(sub, y_band, train_rows[tr], train_rows[fold], columns,
+                                          cfg.forest, (cfg.seed, band, setting.value, "cv", fi)))
+            planned.append((band, setting, train_rows.size, test_rows.size, slice(first, len(tasks))))
+
+    predictions = rf.parallel_map(_fit_predict, tasks, jobs)
+    rows: list = []
+    for band, setting, n_train, n_test, span in planned:
+        holdout, *cv = [compute_metrics(t.y[t.apply_rows], pred)
+                        for t, pred in zip(tasks[span], predictions[span])]
+        cv_means = None
+        if cv:
+            cv_means = {k: float(np.mean([getattr(m, k) for m in cv]))
+                        for k in ("accuracy", "precision", "recall", "f1")}
+        rows.append(ReportRow(
+            goal_band=band, setting=setting.value,
+            n_train=int(n_train), n_test=int(n_test),
+            holdout=holdout, cv=cv_means,
+        ))
 
     totals = []
     by_setting: dict = {}

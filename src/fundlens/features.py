@@ -226,9 +226,10 @@ def impute_with_indicators(train_values: np.ndarray, apply_values: np.ndarray, n
 
     Every column stores its training median (0.0 when it has no finite
     training value); a ``<name>__missing`` indicator is added for each
-    column with a NaN in training. Both sides go through apply_imputation.
+    column with a NaN in training. Both sides go through apply_imputation;
+    with ``apply_values=None`` only the training rows are imputed.
 
-    Returns (train_imputed, apply_imputed, out_names, medians).
+    Returns (train_imputed, apply_imputed or None, out_names, medians).
     """
     train = np.asarray(train_values, dtype=np.float64)
     med = np.median(train, axis=0)
@@ -238,9 +239,8 @@ def impute_with_indicators(train_values: np.ndarray, apply_values: np.ndarray, n
         med[j] = np.median(finite) if finite.size else 0.0
     medians = dict(zip(names, med.tolist()))
     out_names = [*names, *(f"{names[j]}__missing" for j in gappy)]
-    return (apply_imputation(train, names, medians, out_names),
-            apply_imputation(apply_values, names, medians, out_names),
-            out_names, medians)
+    applied = None if apply_values is None else apply_imputation(apply_values, names, medians, out_names)
+    return apply_imputation(train, names, medians, out_names), applied, out_names, medians
 
 
 def apply_imputation(values: np.ndarray, names, medians: dict, out_names):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from fundlens import features
 from fundlens.cli import main
 
 
@@ -105,6 +106,22 @@ def test_train_and_predict(pipeline_dir):
     assert pred[1].startswith("fresh,")
 
 
+def test_parallel_train_writes_the_serial_models(pipeline_dir, monkeypatch):
+    root, out, base = pipeline_dir
+    calls = []
+    real = features.apply_imputation
+    monkeypatch.setattr(features, "apply_imputation", lambda *a: calls.append(1) or real(*a))
+    written = {}
+    for jobs in ("1", "2"):
+        models = root / f"models_jobs{jobs}"
+        assert main(["train", *base, "--trees", "3", "--models", str(models), "--jobs", jobs]) == 0
+        written[jobs] = {p.name: p.read_bytes() for p in sorted(models.iterdir())}
+    assert sorted(written["1"]) == ["B1.json", "B1_meta.json", "B2.json", "B2_meta.json"]
+    assert written["2"] == written["1"]
+    # Each run imputes each band's training rows once.
+    assert len(calls) == 2 * 2
+
+
 def test_report_histograms(pipeline_dir):
     root, out, base = pipeline_dir
     assert main(["report", *base]) == 0
@@ -157,6 +174,9 @@ def test_config_file_and_flag_override(pipeline_dir, tmp_path, monkeypatch, caps
     assert "'seed'" in capsys.readouterr().err
     assert main(["ingest", "--config", "run.ini", "--full-settings-bands", "B1,B9"]) == 2
     assert "full_settings_bands" in capsys.readouterr().err
+    for jobs in ("0", "-1"):
+        assert main(["ingest", "--config", "run.ini", f"--jobs={jobs}"]) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
 
 
 def test_missing_seed_is_config_error(pipeline_dir, capsys):

@@ -281,3 +281,25 @@ def test_experiment_config_fingerprint_changes_with_seed():
     b = ExperimentConfig(seed=2)
     assert a.fingerprint() != b.fingerprint()
     assert a.fingerprint() == ExperimentConfig(seed=1).fingerprint()
+
+
+def test_run_experiment_parallel_matches_serial():
+    bands, labels, matrix = _separable_dataset(n=120, seed=6)
+    # Four class-2 campaigns in B2: the holdout split and B2's CV lower k.
+    b2 = [i for i, b in enumerate(bands) if b == "B2"]
+    labels = [(2 if i in b2[:4] else -2) if b == "B2" else lab
+              for i, (b, lab) in enumerate(zip(bands, labels))]
+    cfg = ExperimentConfig(
+        seed=3, forest=ForestConfig(n_estimators=3, seed=0),
+        settings=(Setting.BASIC, Setting.FACE, Setting.LIWC, Setting.LATE_FUSION), cv_folds=4,
+    )
+    serial = run_experiment(bands, labels, matrix, cfg, jobs=1)
+    parallel = run_experiment(bands, labels, matrix, cfg, jobs=2)
+    assert parallel.to_csv_text() == serial.to_csv_text()
+    assert parallel.to_json_text() == serial.to_json_text()
+    # The matrix has no face columns, so Face is skipped in both bands.
+    assert [n.split(":")[0] for n in serial.notes] == [
+        "skipped B1/Face", "B2 holdout", "B2/Basic cv", "skipped B2/Face", "B2/LIWC cv",
+        "B2/LateFusion cv", "skipped band B3", "skipped band B4"]
+    assert [(r.goal_band, r.setting) for r in serial.rows] == [
+        (b, s) for b in ("B1", "B2") for s in ("Basic", "LIWC", "LateFusion")]

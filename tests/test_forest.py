@@ -1,11 +1,13 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fundlens.errors import DegenerateNode, ConfigError, InsufficientData, InvalidMatrix, ShapeError
-from fundlens.forest import ForestConfig, RandomForest, best_split, fit, gini
+import fundlens.forest as forest_module
+from fundlens.forest import ForestConfig, RandomForest, best_split, fit, gini, parallel_map
 
 
 def _blobs(n=200, d=4, seed=0, sep=3.0):
@@ -139,6 +141,43 @@ def test_parallel_fit_matches_serial():
     assert json.dumps(serial.to_json(), sort_keys=True) == json.dumps(
         parallel.to_json(), sort_keys=True
     )
+
+
+def _square(x):
+    return x * x
+
+
+def test_parallel_map_keeps_task_order_and_caps_workers(monkeypatch):
+    tasks = [3, 1, 4, 1, 5]
+    assert parallel_map(_square, tasks, jobs=1) == [9, 1, 16, 1, 25]
+    assert parallel_map(_square, tasks, jobs=2) == [9, 1, 16, 1, 25]
+    assert parallel_map(_square, [], jobs=2) == []
+    for jobs in (0, -1):
+        with pytest.raises(ConfigError, match="jobs must be >= 1"):
+            parallel_map(_square, tasks, jobs=jobs)
+
+    # The pool gets min(jobs, len(tasks)) workers and is not started for one.
+    started = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(forest_module, "futures", SimpleNamespace(ProcessPoolExecutor=Pool))
+    assert parallel_map(_square, tasks, jobs=8) == [9, 1, 16, 1, 25]
+    assert parallel_map(_square, tasks, jobs=3) == [9, 1, 16, 1, 25]
+    assert parallel_map(_square, [7], jobs=4) == [49]
+    assert parallel_map(_square, tasks, jobs=1) == [9, 1, 16, 1, 25]
+    assert started == [5, 3]
 
 
 def test_predict_proba_properties():
