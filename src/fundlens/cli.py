@@ -227,7 +227,7 @@ def _dataset_paths(cfg: RunConfig) -> dict:
     }
 
 
-def _load_dataset(path: Path, registry: CategoryRegistry):
+def _load_dataset(path: Path):
     """Read the canonical dataset file written by cmd_ingest."""
     campaigns = []
     meta = []
@@ -257,13 +257,13 @@ def _load_dataset(path: Path, registry: CategoryRegistry):
     return campaigns, meta
 
 
-def _load_features_and_dataset(paths: dict, registry: CategoryRegistry):
+def _load_features_and_dataset(paths: dict):
     """features.csv and the dataset meta, checked to hold the same campaigns
     in the same order (a stale or reordered file is a data error)."""
     matrix = FeatureMatrix.load(
         _require(paths["features"], "feature matrix (run featurize first)"),
         paths["features_meta"])
-    campaigns, meta = _load_dataset(_require(paths["dataset"], "dataset file"), registry)
+    campaigns, meta = _load_dataset(_require(paths["dataset"], "dataset file"))
     ids = [c.id for c in campaigns]
     if matrix.ids != ids:
         row, (a, b) = next((i, pair) for i, pair in enumerate(zip_longest(matrix.ids, ids))
@@ -326,7 +326,7 @@ def cmd_featurize(cfg: RunConfig) -> int:
     paths = _dataset_paths(cfg)
     registry = _registry(cfg)
     dataset = _require(paths["dataset"], "dataset file (run ingest first)")
-    campaigns, _ = _load_dataset(dataset, registry)
+    campaigns, _ = _load_dataset(dataset)
     inputs = _feature_inputs(cfg)
     matrix = build_feature_matrix(campaigns, registry, **inputs)
     matrix.save(paths["features"], paths["features_meta"])
@@ -382,8 +382,7 @@ def _screen_all(matrix: FeatureMatrix, meta, cfg: RunConfig):
 
 def cmd_screen(cfg: RunConfig) -> int:
     paths = _dataset_paths(cfg)
-    registry = _registry(cfg)
-    matrix, meta = _load_features_and_dataset(paths, registry)
+    matrix, meta = _load_features_and_dataset(paths)
     rows, notes = _screen_all(matrix, meta, cfg)
     with paths["screening"].open("w", encoding="utf-8", newline="") as fh:
         fh.write(f"# alpha={cfg.alpha}\n")
@@ -415,8 +414,7 @@ def _screened_by_band(matrix, meta, cfg):
 
 def cmd_evaluate(cfg: RunConfig) -> int:
     paths = _dataset_paths(cfg)
-    registry = _registry(cfg)
-    matrix, meta = _load_features_and_dataset(paths, registry)
+    matrix, meta = _load_features_and_dataset(paths)
     fmeta = json.loads(paths["features_meta"].read_text(encoding="utf-8"))
     bands = [m["goal_band"] for m in meta]
     labels = _labels_for_target(meta, cfg.target)
@@ -439,8 +437,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 def cmd_train(cfg: RunConfig) -> int:
     paths = _dataset_paths(cfg)
-    registry = _registry(cfg)
-    matrix, meta = _load_features_and_dataset(paths, registry)
+    matrix, meta = _load_features_and_dataset(paths)
     try:
         setting = Setting(cfg.train_setting)
     except ValueError:
@@ -449,6 +446,7 @@ def cmd_train(cfg: RunConfig) -> int:
         raise ConfigError("train persists single models; pick a non-late-fusion setting")
     labels = _labels_for_target(meta, cfg.target)
     bands = [m["goal_band"] for m in meta]
+    screened = _screened_by_band(matrix, meta, cfg) if cfg.assembly == "screened" else None
     model_dir = paths["models"]
     model_dir.mkdir(parents=True, exist_ok=True)
     forest = cfg.forest_config(seed=cfg.seed)
@@ -459,7 +457,8 @@ def cmd_train(cfg: RunConfig) -> int:
                           if b == band and lab is not None], dtype=np.intp)
         if idx.size < cfg.min_band_n:
             continue
-        sub = assemble(matrix.take_rows(idx), setting)
+        sub = assemble(matrix.take_rows(idx), setting,
+                       screened.get(band, set()) if screened is not None else None)
         y = np.asarray([labels[i] for i in idx])
         X, _, names, medians = impute_with_indicators(sub.values, None, sub.names)
         fits.append((X, y, forest, names))
@@ -487,13 +486,12 @@ def _load_band_model(model_dir: Path, band: str):
     meta_path = model_dir / f"{band}_meta.json"
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        setting = Setting(meta["setting"])
         base_names, medians, out_names = meta["base_names"], meta["medians"], meta["out_names"]
     except (KeyError, TypeError, ValueError):
         raise SchemaError(f"{meta_path} is not a model layout this version reads; retrain") from None
     if list(model.feature_names) != out_names:
         raise SchemaError(f"{meta_path} does not describe the columns of {band}.json; retrain")
-    return model, setting, base_names, medians, out_names
+    return model, base_names, medians, out_names
 
 
 def cmd_predict(cfg: RunConfig, campaign_file: str) -> int:
@@ -509,12 +507,12 @@ def cmd_predict(cfg: RunConfig, campaign_file: str) -> int:
         raise ConfigError(f"no trained models found under {model_dir}")
     bands = [assign_goal_band(c.goal_amount) for c in campaigns]
     rows = [[c.id, b.name if b else "OutOfRange", "", "", "", ""] for c, b in zip(campaigns, bands)]
-    # Score each band in one batch on the same feature path as train.
-    for band, (model, setting, base_names, medians, out_names) in models.items():
+    # Score each band in one batch on the columns its model was trained on.
+    for band, (model, base_names, medians, out_names) in models.items():
         idx = [i for i, b in enumerate(bands) if b is not None and b.name == band]
         if not idx:
             continue
-        sub = assemble(matrix.take_rows(idx), setting)
+        sub = matrix.take_rows(idx).select_names(base_names)
         if sub.names != base_names:
             raise SchemaError(f"features for {band} differ from the ones its model was trained on "
                               f"(lexicon or registry changed?); retrain or use the training inputs")
@@ -548,8 +546,7 @@ def cmd_synth(cfg: RunConfig, spec_file: str) -> int:
 
 def cmd_report(cfg: RunConfig) -> int:
     paths = _dataset_paths(cfg)
-    registry = _registry(cfg)
-    campaigns, meta = _load_dataset(_require(paths["dataset"], "dataset file"), registry)
+    campaigns, meta = _load_dataset(_require(paths["dataset"], "dataset file"))
 
     def write_hist(path, values, lo, hi, width):
         edges = np.arange(lo, hi + width / 2, width)

@@ -65,10 +65,6 @@ class InvalidMatrix(DataError):
     pass
 
 
-class InvalidImage(DataError):
-    pass
-
-
 class SpecError(DataError):
     pass
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Campaign, CategoryRegistry
+from .core import CategoryRegistry
 from .errors import EmptySetting, SchemaError, ShapeError
 from .images import EMOTION_KEYS, aggregate_face_features
 from .ingest import PopulationTable

@@ -211,10 +211,6 @@ class RandomForest:
     def n_features(self) -> int:
         return len(self.feature_names)
 
-    @property
-    def has_splits(self) -> bool:
-        return bool(self._importance_raw.sum() > 0)
-
     def _check(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:

@@ -1,12 +1,10 @@
 """Image-quality scores and face attributes via pluggable providers.
 
-The learned quality model and the commercial face service are out of scope;
-this module offers (a) a precomputed-score table so real model outputs can
-be injected, (b) a face provider that reads offline sidecar files, and (c) a
-documented deterministic surrogate quality scorer over pixel arrays, which
-no pipeline stage calls yet (featurize reads quality scores only from the
-table). Reports always carry the provider tag so surrogate numbers are
-never mistaken for model outputs.
+The learned quality model and the commercial face service are out of scope,
+so images enter the pipeline only through their outputs: (a) a table of
+precomputed aesthetic and technical scores (``--quality-scores``) and (b) a
+face provider that reads offline sidecar files (``--sidecar-root``).
+featurize records which providers it used in ``features_meta.json``.
 """
 
 from __future__ import annotations
@@ -18,19 +16,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
-from .errors import InvalidImage, RangeError, SchemaError
+from .errors import ParseError, RangeError, SchemaError
 
 EMOTION_KEYS = ("anger", "disgust", "fear", "happiness", "neutral", "sadness", "surprise")
 
 #: Age below which a detected face counts as a child.
 CHILD_AGE = 10.0
-
-# Surrogate-scorer normalization constants (documented, fixed).
-_GRAD_SCALE = 64.0        # e-folding scale of the sharpness response
-_CONTRAST_NORM = 127.5    # max std of an 8-bit image split half black / half white
-_COLORFULNESS_NORM = 150.0
 
 
 @dataclass(frozen=True)
@@ -162,46 +153,6 @@ def aggregate_face_features(faces) -> CampaignFaceFeatures:
     )
 
 
-def _colorfulness(pixels: np.ndarray) -> float:
-    # Hasler & Suesstrunk opponent-channel statistic.
-    r = pixels[..., 0].astype(np.float64)
-    g = pixels[..., 1].astype(np.float64)
-    b = pixels[..., 2].astype(np.float64)
-    rg = r - g
-    yb = 0.5 * (r + g) - b
-    return float(np.hypot(rg.std(), yb.std()) + 0.3 * np.hypot(rg.mean(), yb.mean()))
-
-
-def builtin_quality_score(pixels: np.ndarray) -> ImageQuality:
-    """Deterministic surrogate quality scores on the 1-10 scale.
-
-    technical = 1 + 9 * (1 - exp(-g / 64)) with g the mean gradient magnitude
-    of the luminance; aesthetic = 1 + 9 * (0.5 * contrast + 0.5 * colorfulness),
-    both components normalized to [0, 1]. Invariant under adding a constant
-    to all pixels.
-    """
-    arr = np.asarray(pixels, dtype=np.float64)
-    if arr.ndim == 3 and arr.shape[2] == 3:
-        lum = 0.299 * arr[..., 0] + 0.587 * arr[..., 1] + 0.114 * arr[..., 2]
-        colorfulness = min(_colorfulness(arr) / _COLORFULNESS_NORM, 1.0)
-    elif arr.ndim == 2:
-        lum = arr
-        colorfulness = 0.0
-    else:
-        raise InvalidImage(f"expected HxW or HxWx3 pixel array, got shape {arr.shape}")
-    if lum.shape[0] < 8 or lum.shape[1] < 8:
-        raise InvalidImage(f"image too small: {lum.shape}")
-    gy = np.diff(lum, axis=0)[:, :-1]
-    gx = np.diff(lum, axis=1)[:-1, :]
-    g = float(np.hypot(gx, gy).mean())
-    technical = 1.0 + 9.0 * (1.0 - math.exp(-g / _GRAD_SCALE))
-    contrast = min(float(lum.std()) / _CONTRAST_NORM, 1.0)
-    aesthetic = 1.0 + 9.0 * (0.5 * contrast + 0.5 * colorfulness)
-    quality = ImageQuality(aesthetic_score=aesthetic, technical_score=technical, provider="builtin-surrogate")
-    quality.validate()
-    return quality
-
-
 def load_precomputed_quality(path) -> dict:
     """image_ref -> ImageQuality from a CSV so real model scores can be injected."""
     path = Path(path)
@@ -213,11 +164,15 @@ def load_precomputed_quality(path) -> dict:
             if col not in cols:
                 raise SchemaError(f"quality file missing column {col!r}: {path}")
         for row in reader:
-            quality = ImageQuality(
-                aesthetic_score=float(row["aesthetic"]),
-                technical_score=float(row["technical"]),
-                provider="precomputed",
-            )
+            try:
+                quality = ImageQuality(
+                    aesthetic_score=float(row["aesthetic"]),
+                    technical_score=float(row["technical"]),
+                    provider="precomputed",
+                )
+            except (TypeError, ValueError):
+                raise ParseError(f"{path}, line {reader.line_num}: non-numeric quality score "
+                                 f"{row['aesthetic']!r}, {row['technical']!r}") from None
             quality.validate()
             table[row["image_ref"]] = quality
     return table

@@ -154,21 +154,12 @@ class PopulationTable:
     """Lookup from normalized (city, state) to census population."""
 
     entries: dict
-    source_year: str = "2018"
 
     def lookup(self, city: str, state: str) -> Optional[int]:
         return self.entries.get(normalize_place(city, state))
 
-    def median_population(self) -> float:
-        import statistics
 
-        return float(statistics.median(self.entries.values()))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def load_population_table(path, source_year: str = "2018") -> PopulationTable:
+def load_population_table(path) -> PopulationTable:
     """Load a city,state,population CSV.
 
     Duplicate (city, state) keys keep the larger population: consolidated-city
@@ -192,5 +183,5 @@ def load_population_table(path, source_year: str = "2018") -> PopulationTable:
             key = normalize_place(row["city"], row["state"])
             if key not in entries or pop > entries[key]:
                 entries[key] = pop
-    return PopulationTable(entries=entries, source_year=source_year)
+    return PopulationTable(entries=entries)
 

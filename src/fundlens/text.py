@@ -132,7 +132,6 @@ def load_lexicon(path=None) -> Lexicon:
 class TextFeatures:
     word_count: int
     percentages: dict  # category name -> 100 * hits / word_count
-    clout_surrogate: Optional[float] = None  # flagged surrogate, never the licensed variable
 
     def validate(self) -> None:
         if self.word_count < 0:

@@ -208,6 +208,17 @@ def test_bad_spec_exits_3(tmp_path):
     assert rc == 3
 
 
+def test_non_numeric_quality_score_exits_3(pipeline_dir, tmp_path, capsys):
+    root, out, base = pipeline_dir
+    shutil.copy(out / "dataset.jsonl", tmp_path / "dataset.jsonl")
+    quality = tmp_path / "quality.csv"
+    quality.write_text("image_ref,aesthetic,technical\nimg/a.ppm,4.0,5.0\nimg/b.ppm,abc,5.0\n")
+    rc = main(["featurize", *base, "--out", str(tmp_path), "--quality-scores", str(quality)])
+    assert rc == 3
+    assert "quality.csv, line 3" in capsys.readouterr().err
+    assert not (tmp_path / "features.csv").exists()
+
+
 def test_predict_missing_input_exits_2_before_writing(pipeline_dir, tmp_path, capsys):
     root, out, base = pipeline_dir
     predictions = tmp_path / "predictions.csv"
@@ -318,3 +329,30 @@ def test_predict_with_changed_features_exits_3_before_writing(pipeline_dir, serv
     assert main(["predict", *base, "--out", str(tmp_path), "--models", str(old), str(batch)]) == 3
     assert "retrain" in capsys.readouterr().err
     assert predictions.read_text() == "untouched\n"
+
+
+def test_screened_four_class_models_serve_the_screened_features(pipeline_dir, tmp_path):
+    # With --assembly screened, train gates each band like evaluate does:
+    # basic columns, missingness indicators and the band's screened features.
+    root, out, base = pipeline_dir
+    for name in ("dataset.jsonl", "features.csv", "features_meta.json"):
+        shutil.copy(out / name, tmp_path / name)
+    args = [*base, "--out", str(tmp_path), "--assembly", "screened", "--target", "four-class",
+            "--trees", "5"]
+    assert main(["screen", *args]) == 0
+    assert main(["evaluate", *args, "--cv-folds", "2", "--settings", "Basic,EarlyFusionAll"]) == 0
+    assert main(["train", *args]) == 0
+    modalities = json.loads((tmp_path / "features_meta.json").read_text())["modalities"]
+    with (tmp_path / "screening.csv").open(newline="") as fh:
+        fh.readline()  # the alpha comment
+        screened = [(r["goal_band"], r["feature"]) for r in csv.DictReader(fh)]
+    for band in ("B1", "B2"):
+        meta = json.loads((tmp_path / "models" / f"{band}_meta.json").read_text())
+        gated = {n for n in meta["base_names"]
+                 if modalities[n] != "basic" and not n.endswith("_missing")}
+        assert gated, band
+        assert gated <= {f for b, f in screened if b == band}, band
+    assert main(["predict", *args, str(root / "data" / "campaigns.jsonl")]) == 0
+    rows = _predictions(tmp_path / "predictions.csv")
+    assert len(rows) == 220
+    assert {r["predicted_class"] for r in rows.values()} <= {"-2", "-1", "1", "2"}

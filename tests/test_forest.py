@@ -210,7 +210,7 @@ def test_predict_tie_breaks_to_lower_label():
     proba = model.predict_proba(np.array([[0.0]]))
     np.testing.assert_allclose(proba, [[0.5, 0.5]])
     assert model.predict(np.array([[0.0]]))[0] == -2
-    assert not model.has_splits
+    assert not model.feature_importances().any()
 
 
 def test_feature_importances():

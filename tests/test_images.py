@@ -1,18 +1,12 @@
-import json
-import math
-
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from fundlens.errors import InvalidImage, RangeError, SchemaError
+from fundlens.errors import ParseError, RangeError, SchemaError
 from fundlens.images import (
     CHILD_AGE,
     EMOTION_KEYS,
     FaceAttributes,
     StubFaceProvider,
     aggregate_face_features,
-    builtin_quality_score,
     load_precomputed_quality,
     parse_face,
     sidecar_path,
@@ -123,80 +117,8 @@ def test_stub_provider_reads_sidecars(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# PNM decoding and quality surrogates
+# precomputed quality scores
 # ---------------------------------------------------------------------------
-
-def test_quality_constant_image_is_floor():
-    # Zero gradient and zero contrast: technical = aesthetic = 1.0 exactly.
-    flat = np.full((16, 16), 128, dtype=np.uint8)
-    q = builtin_quality_score(flat)
-    assert q.technical_score == pytest.approx(1.0)
-    assert q.aesthetic_score == pytest.approx(1.0)
-
-
-def test_quality_checkerboard_hand_value():
-    # 0/255 checkerboard: every horizontal and vertical neighbor differs by
-    # 255, so the mean gradient magnitude is 255 * sqrt(2) and
-    # technical = 1 + 9 * (1 - exp(-255 * sqrt(2) / 64)).
-    n = 16
-    board = np.indices((n, n)).sum(axis=0) % 2 * 255
-    q = builtin_quality_score(board.astype(np.uint8))
-    want = 1.0 + 9.0 * (1.0 - math.exp(-255.0 * math.sqrt(2.0) / 64.0))
-    assert q.technical_score == pytest.approx(want, abs=1e-9)
-
-
-def test_quality_sharp_beats_blurred():
-    rng = np.random.default_rng(1)
-    sharp = rng.integers(0, 256, size=(32, 32)).astype(np.float64)
-    # crude 3x3 box blur as an independent "less sharp" oracle
-    blurred = sharp.copy()
-    for _ in range(3):
-        blurred = (
-            blurred
-            + np.roll(blurred, 1, 0) + np.roll(blurred, -1, 0)
-            + np.roll(blurred, 1, 1) + np.roll(blurred, -1, 1)
-        ) / 5.0
-    assert (
-        builtin_quality_score(sharp).technical_score
-        > builtin_quality_score(blurred).technical_score
-    )
-
-
-def test_quality_grayscale_has_zero_colorfulness():
-    rng = np.random.default_rng(2)
-    gray = rng.integers(0, 256, size=(16, 16)).astype(np.uint8)
-    color = np.stack([gray, gray, gray], axis=-1)
-    # equal channels: colorfulness 0, so both paths agree
-    qg = builtin_quality_score(gray)
-    qc = builtin_quality_score(color)
-    assert qg.aesthetic_score == pytest.approx(qc.aesthetic_score, abs=1e-9)
-    assert qg.technical_score == pytest.approx(qc.technical_score, abs=1e-9)
-
-
-def test_quality_rejects_tiny_images():
-    with pytest.raises(InvalidImage):
-        builtin_quality_score(np.zeros((4, 4)))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=100))
-def test_quality_brightness_shift_invariance(seed, shift):
-    rng = np.random.default_rng(seed)
-    img = rng.integers(0, 140, size=(12, 12)).astype(np.float64)
-    a = builtin_quality_score(img)
-    b = builtin_quality_score(img + shift)
-    assert a.technical_score == pytest.approx(b.technical_score, abs=1e-9)
-    assert a.aesthetic_score == pytest.approx(b.aesthetic_score, abs=1e-9)
-
-
-def test_quality_scores_always_in_range():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        img = rng.integers(0, 256, size=(16, 16, 3)).astype(np.uint8)
-        q = builtin_quality_score(img)
-        assert 1.0 <= q.technical_score <= 10.0
-        assert 1.0 <= q.aesthetic_score <= 10.0
-
 
 def test_load_precomputed_quality(tmp_path):
     good = tmp_path / "q.csv"
@@ -214,3 +136,11 @@ def test_load_precomputed_quality(tmp_path):
     missing.write_text("image_ref,aesthetic\na.ppm,4.0\n")
     with pytest.raises(SchemaError):
         load_precomputed_quality(missing)
+
+    # A non-numeric or absent score is a parse error naming file and line.
+    for name, rows, line in (("text.csv", "a.ppm,4.0,5.0\nb.ppm,abc,5.0\n", 3),
+                             ("short.csv", "a.ppm,4.0\n", 2)):
+        path = tmp_path / name
+        path.write_text("image_ref,aesthetic,technical\n" + rows)
+        with pytest.raises(ParseError, match=f"{name}, line {line}"):
+            load_precomputed_quality(path)

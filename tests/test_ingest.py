@@ -97,7 +97,6 @@ def test_population_table_lookup(tmp_path):
     assert table.lookup(" SPRINGFIELD ", "IL") == 114230
     assert table.lookup("Portland", "ME") == 66882
     assert table.lookup("Nowhere", "KS") is None
-    assert table.median_population() == 114230
 
 
 def test_population_duplicates_keep_larger(tmp_path):
