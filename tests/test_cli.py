@@ -331,6 +331,48 @@ def test_predict_with_changed_features_exits_3_before_writing(pipeline_dir, serv
     assert predictions.read_text() == "untouched\n"
 
 
+def _truncate(text):
+    return text[: len(text) // 2]
+
+
+def _corrupt_tree(field, value):
+    def corrupt(text):
+        payload = json.loads(text)
+        tree = payload["trees"][0]
+        tree[field] = value(tree)
+        return json.dumps(payload)
+    return corrupt
+
+
+def _drop_trees(text):
+    payload = json.loads(text)
+    del payload["trees"]
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("corrupt", [
+    _truncate,
+    _drop_trees,
+    _corrupt_tree("feature", lambda t: [10_000] + t["feature"][1:]),
+    _corrupt_tree("left", lambda t: [0] + t["left"][1:]),  # the root as its own child: a cycle
+    _corrupt_tree("counts", lambda t: [row + [0.0] for row in t["counts"]]),
+], ids=["truncated", "no-trees", "feature-out-of-range", "child-not-after-node", "counts-width"])
+def test_corrupt_model_exits_3_before_writing(pipeline_dir, served, tmp_path, capsys, corrupt):
+    root, out, base = pipeline_dir
+    models, batch = served
+    broken = tmp_path / "models"
+    shutil.copytree(models, broken)
+    model = broken / "B1.json"
+    model.write_text(corrupt(model.read_text()))
+    predictions = tmp_path / "predictions.csv"
+    predictions.write_text("untouched\n")
+    assert main(["predict", *base, "--out", str(tmp_path), "--models", str(broken), str(batch)]) == 3
+    err = capsys.readouterr().err
+    assert str(model) in err and err.rstrip().endswith("retrain")
+    assert "Traceback" not in err
+    assert predictions.read_text() == "untouched\n"
+
+
 def test_screened_four_class_models_serve_the_screened_features(pipeline_dir, tmp_path):
     # With --assembly screened, train gates each band like evaluate does:
     # basic columns, missingness indicators and the band's screened features.

@@ -1,4 +1,7 @@
 import json
+import multiprocessing
+import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -143,6 +146,103 @@ def test_parallel_fit_matches_serial():
     )
 
 
+@st.composite
+def _fit_cases(draw):
+    """Small fits with ties, constant columns and adjacent floats."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["normal", "ties", "adjacent"]))
+    if kind == "normal":
+        X = rng.normal(size=(n, d))
+    elif kind == "ties":
+        X = rng.integers(0, 3, size=(n, d)).astype(float)
+    else:
+        base = rng.normal()
+        X = base + np.spacing(base) * rng.integers(0, 3, size=(n, d))
+    if draw(st.booleans()):
+        X[:, 0] = 1.0
+    y = rng.integers(0, draw(st.integers(1, 4)), size=n)
+    config = ForestConfig(
+        n_estimators=draw(st.integers(1, 4)), seed=seed,
+        max_features=draw(st.one_of(st.none(), st.integers(1, d))),
+        max_depth=draw(st.one_of(st.none(), st.integers(0, 4))),
+        min_samples_split=draw(st.integers(2, max(2, min(5, n)))),
+        bootstrap=draw(st.booleans()))
+    return X, y, config
+
+
+@settings(max_examples=80, deadline=None)
+@given(_fit_cases())
+def test_level_builder_matches_best_split_at_every_node(case):
+    # Walk each tree breadth-first, rebuilding every node's bootstrap rows and
+    # replaying its candidate-feature draws: best_split on them must give the
+    # stored split, and a node left unsplit while eligible must have none.
+    X, y, config = case
+    model = fit(X, y, config)
+    n, d = X.shape
+    mf = config.resolved_max_features(d)
+    labels, y_codes = np.unique(y, return_inverse=True)
+    for t, tree in enumerate(model.trees):
+        rng = np.random.default_rng([config.seed, t])
+        rows = np.sort(rng.integers(0, n, n)) if config.bootstrap else np.arange(n)
+        level, depth, n_nodes = [(0, rows)], 0, 1
+        while level:
+            eligible = []
+            for node, rows in level:
+                counts = np.bincount(y_codes[rows], minlength=labels.size)
+                np.testing.assert_array_equal(tree.counts[node], counts)
+                if (rows.size >= config.min_samples_split and gini(counts) > 0.0
+                        and (config.max_depth is None or depth < config.max_depth)):
+                    eligible.append((node, rows))
+                else:
+                    assert tree.feature[node] == -1
+            # One uniform block per level; a node takes its mf smallest draws.
+            draws = np.sort(np.argsort(rng.random((len(eligible), d)), axis=1)[:, :mf], axis=1)
+            level = []
+            for (node, rows), feats in zip(eligible, draws):
+                split = best_split(X, y, rows, feats)
+                if split is None:
+                    assert tree.feature[node] == -1
+                    continue
+                assert (tree.feature[node], tree.threshold[node]) == split[:2]
+                # Children take the tree's next ids, breadth-first.
+                assert (tree.left[node], tree.right[node]) == (n_nodes, n_nodes + 1)
+                n_nodes += 2
+                go_left = X[rows, split[0]] <= split[1]
+                level += [(tree.left[node], rows[go_left]), (tree.right[node], rows[~go_left])]
+            depth += 1
+        assert n_nodes == tree.feature.size
+
+
+def test_a_tree_depends_only_on_seed_and_index(monkeypatch):
+    X, y = _blobs(n=150, d=6, seed=11, sep=1.0)
+    cfg = ForestConfig(n_estimators=12, max_features=2, seed=5)
+    full = json.dumps(fit(X, y, cfg).to_json(), sort_keys=True)
+    first5 = fit(X, y, replace(cfg, n_estimators=5)).to_json()["trees"]
+    assert first5 == json.loads(full)["trees"][:5]
+    assert json.dumps(fit(X, y, cfg, jobs=3).to_json(), sort_keys=True) == full
+    # One tree per group and about one node per scan chunk.
+    monkeypatch.setattr(forest_module, "_ENTRY_BUDGET", 64)
+    assert json.dumps(fit(X, y, cfg).to_json(), sort_keys=True) == full
+
+
+def test_fit_memory_stays_flat():
+    # The builder works in chunks under a fixed entry budget, so a large fit
+    # holds little beyond its presorted columns and its trees.
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(1350, 63))
+    y = np.where(rng.random(1350) < 0.5, -2, 2)
+    tracemalloc.start()
+    try:
+        fit(X, y, ForestConfig(n_estimators=100, max_depth=8, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
 def _square(x):
     return x * x
 
@@ -160,7 +260,10 @@ def test_parallel_map_keeps_task_order_and_caps_workers(monkeypatch):
     started = []
 
     class Pool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
+            assert mp_context.get_start_method() == (
+                "fork" if "fork" in multiprocessing.get_all_start_methods() else
+                multiprocessing.get_start_method())
             started.append(max_workers)
 
         def __enter__(self):
