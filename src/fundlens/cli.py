@@ -17,7 +17,6 @@ import json
 import sys
 from dataclasses import dataclass, field, fields
 from datetime import date
-from itertools import zip_longest
 from pathlib import Path
 from typing import Optional
 
@@ -39,7 +38,8 @@ from .experiment import (
     assemble,
     run_experiment,
 )
-from .features import FeatureMatrix, apply_imputation, build_feature_matrix, impute_with_indicators
+from .features import (LABEL_KEYS, FeatureMatrix, apply_imputation, build_feature_matrix,
+                       impute_with_indicators)
 from .images import StubFaceProvider, load_precomputed_quality
 from .ingest import load_campaigns, load_population_table
 from .stats import screen
@@ -213,7 +213,8 @@ def _dataset_paths(cfg: RunConfig) -> dict:
     return {
         "dataset": out / "dataset.jsonl",
         "ingest_report": out / "ingest_report.json",
-        "features": out / "features.csv",
+        "features": out / "features.npz",
+        "features_csv": out / "features.csv",
         "features_meta": out / "features_meta.json",
         "screening": out / "screening.csv",
         "screening_notes": out / "screening_notes.json",
@@ -227,10 +228,18 @@ def _dataset_paths(cfg: RunConfig) -> dict:
     }
 
 
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with Path(path).open("rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def _load_dataset(path: Path):
-    """Read the canonical dataset file written by cmd_ingest."""
+    """The campaigns of the dataset file cmd_ingest wrote, and its ``LABEL_KEYS`` columns."""
     campaigns = []
-    meta = []
+    labels = {k: [] for k in LABEL_KEYS}
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -246,31 +255,18 @@ def _load_dataset(path: Path):
                     num_followers=obj["num_followers"], num_shares=obj["num_shares"],
                     num_donors=obj["num_donors"], cover_image=obj.get("cover_image"),
                 ))
-                meta.append({
-                    "ratio": obj["ratio"],
-                    "goal_band": obj["goal_band"],
-                    "class_four": obj["class_four"],
-                    "class_two": obj["class_two"],
-                })
+                for k in LABEL_KEYS:
+                    labels[k].append(obj[k])
             except (ValueError, KeyError, TypeError) as exc:
                 raise DataError(f"{path}, line {lineno}: malformed dataset record: {exc!r}") from None
-    return campaigns, meta
+    return campaigns, labels
 
 
-def _load_features_and_dataset(paths: dict):
-    """features.csv and the dataset meta, checked to hold the same campaigns
-    in the same order (a stale or reordered file is a data error)."""
-    matrix = FeatureMatrix.load(
-        _require(paths["features"], "feature matrix (run featurize first)"),
-        paths["features_meta"])
-    campaigns, meta = _load_dataset(_require(paths["dataset"], "dataset file"))
-    ids = [c.id for c in campaigns]
-    if matrix.ids != ids:
-        row, (a, b) = next((i, pair) for i, pair in enumerate(zip_longest(matrix.ids, ids))
-                           if pair[0] != pair[1])
-        raise DataError(f"row {row + 1} is campaign {a!r} in {paths['features']} but {b!r} "
-                        f"in {paths['dataset']}; rerun featurize")
-    return matrix, meta
+def _load_features(paths: dict):
+    """features.npz as (matrix, labels, provenance), checked to be built from
+    the current dataset.jsonl (a stale, edited or reordered one is a data error)."""
+    return FeatureMatrix.load(_require(paths["features"], "feature matrix (run featurize first)"),
+                              _sha256(_require(paths["dataset"], "dataset file")))
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
@@ -326,18 +322,15 @@ def cmd_featurize(cfg: RunConfig) -> int:
     paths = _dataset_paths(cfg)
     registry = _registry(cfg)
     dataset = _require(paths["dataset"], "dataset file (run ingest first)")
-    campaigns, _ = _load_dataset(dataset)
+    campaigns, labels = _load_dataset(dataset)
     inputs = _feature_inputs(cfg)
     matrix = build_feature_matrix(campaigns, registry, **inputs)
-    matrix.save(paths["features"], paths["features_meta"])
-    meta = json.loads(paths["features_meta"].read_text(encoding="utf-8"))
     provider = inputs["face_provider"]
-    meta["provider_tags"] = {
-        "quality": "precomputed" if inputs["quality_table"] is not None else "none",
-        "faces": provider.tag if provider is not None else "none",
-    }
-    meta["lexicon_fingerprint"] = _lexicon_fingerprint(cfg)
-    paths["features_meta"].write_text(json.dumps(meta, sort_keys=True, indent=1), encoding="utf-8")
+    tags = {"quality": "precomputed" if inputs["quality_table"] is not None else "none",
+            "faces": provider.tag if provider is not None else "none"}
+    provenance = {"provider_tags": tags, "lexicon_fingerprint": _lexicon_fingerprint(cfg)}
+    matrix.save(paths["features_csv"], paths["features_meta"], paths["features"],
+                labels, provenance, _sha256(dataset))
     print(f"featurize: {len(matrix.ids)} rows x {len(matrix.names)} features -> {paths['features']}")
     return 0
 
@@ -345,12 +338,11 @@ def cmd_featurize(cfg: RunConfig) -> int:
 _SCREEN_MODALITIES = ("text", "image_quality", "face", "population")
 
 
-def _screen_all(matrix: FeatureMatrix, meta, cfg: RunConfig):
+def _screen_all(matrix: FeatureMatrix, labels, cfg: RunConfig):
     """Screen every (band, category, modality) cell; returns (rows, notes)."""
-    ratios = np.asarray([m["ratio"] for m in meta])
-    bands = [m["goal_band"] for m in meta]
-    analysis = [i for i, m in enumerate(meta)
-                if m["goal_band"] is not None and m["ratio"] <= MAX_RATIO]
+    ratios, bands = labels["ratio"], labels["goal_band"]
+    analysis = [i for i, (b, r) in enumerate(zip(bands, ratios.tolist()))
+                if b is not None and r <= MAX_RATIO]
     # Category of each row comes from the one-hot basic columns.
     cat_cols = [(j, matrix.names[j][4:]) for j in range(len(matrix.names))
                 if matrix.names[j].startswith("cat_")]
@@ -382,8 +374,8 @@ def _screen_all(matrix: FeatureMatrix, meta, cfg: RunConfig):
 
 def cmd_screen(cfg: RunConfig) -> int:
     paths = _dataset_paths(cfg)
-    matrix, meta = _load_features_and_dataset(paths)
-    rows, notes = _screen_all(matrix, meta, cfg)
+    matrix, labels, _ = _load_features(paths)
+    rows, notes = _screen_all(matrix, labels, cfg)
     with paths["screening"].open("w", encoding="utf-8", newline="") as fh:
         fh.write(f"# alpha={cfg.alpha}\n")
         writer = csv.writer(fh, lineterminator="\n")
@@ -399,13 +391,12 @@ def cmd_screen(cfg: RunConfig) -> int:
     return 0
 
 
-def _labels_for_target(meta, target: str):
-    key = "class_two" if target == "two-class" else "class_four"
-    return [m[key] for m in meta]
+#: The label column of features.npz each target trains on.
+_CLASS_KEY = {"two-class": "class_two", "four-class": "class_four"}
 
 
-def _screened_by_band(matrix, meta, cfg):
-    rows, _ = _screen_all(matrix, meta, cfg)
+def _screened_by_band(matrix, labels, cfg):
+    rows, _ = _screen_all(matrix, labels, cfg)
     gate: dict = {}
     for _, r in rows:
         gate.setdefault(r.goal_band, set()).add(r.feature)
@@ -414,20 +405,13 @@ def _screened_by_band(matrix, meta, cfg):
 
 def cmd_evaluate(cfg: RunConfig) -> int:
     paths = _dataset_paths(cfg)
-    matrix, meta = _load_features_and_dataset(paths)
-    fmeta = json.loads(paths["features_meta"].read_text(encoding="utf-8"))
-    bands = [m["goal_band"] for m in meta]
-    labels = _labels_for_target(meta, cfg.target)
-    screened = _screened_by_band(matrix, meta, cfg) if cfg.assembly == "screened" else None
+    matrix, labels, provenance = _load_features(paths)
+    screened = _screened_by_band(matrix, labels, cfg) if cfg.assembly == "screened" else None
     report = run_experiment(
-        bands, labels, matrix, cfg.experiment_config(),
-        screened_by_band=screened,
-        extra_header={
-            "provider_tags": json.dumps(fmeta.get("provider_tags", {}), sort_keys=True),
-            "lexicon_fingerprint": fmeta.get("lexicon_fingerprint", ""),
-            "alpha": cfg.alpha,
-        },
-        jobs=cfg.jobs,
+        labels["goal_band"], labels[_CLASS_KEY[cfg.target]], matrix, cfg.experiment_config(),
+        screened_by_band=screened, jobs=cfg.jobs,
+        extra_header={"provider_tags": json.dumps(provenance["provider_tags"], sort_keys=True),
+                      "lexicon_fingerprint": provenance["lexicon_fingerprint"], "alpha": cfg.alpha},
     )
     paths["report_csv"].write_text(report.to_csv_text(), encoding="utf-8")
     paths["report_json"].write_text(report.to_json_text(), encoding="utf-8")
@@ -437,16 +421,15 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 def cmd_train(cfg: RunConfig) -> int:
     paths = _dataset_paths(cfg)
-    matrix, meta = _load_features_and_dataset(paths)
+    matrix, labels, _ = _load_features(paths)
     try:
         setting = Setting(cfg.train_setting)
     except ValueError:
         raise ConfigError(f"unknown train setting {cfg.train_setting!r}") from None
     if setting == Setting.LATE_FUSION:
         raise ConfigError("train persists single models; pick a non-late-fusion setting")
-    labels = _labels_for_target(meta, cfg.target)
-    bands = [m["goal_band"] for m in meta]
-    screened = _screened_by_band(matrix, meta, cfg) if cfg.assembly == "screened" else None
+    screened = _screened_by_band(matrix, labels, cfg) if cfg.assembly == "screened" else None
+    bands, labels = labels["goal_band"], labels[_CLASS_KEY[cfg.target]]
     model_dir = paths["models"]
     model_dir.mkdir(parents=True, exist_ok=True)
     forest = cfg.forest_config(seed=cfg.seed)
@@ -546,7 +529,7 @@ def cmd_synth(cfg: RunConfig, spec_file: str) -> int:
 
 def cmd_report(cfg: RunConfig) -> int:
     paths = _dataset_paths(cfg)
-    campaigns, meta = _load_dataset(_require(paths["dataset"], "dataset file"))
+    campaigns, labels = _load_dataset(_require(paths["dataset"], "dataset file"))
 
     def write_hist(path, values, lo, hi, width):
         edges = np.arange(lo, hi + width / 2, width)
@@ -558,14 +541,14 @@ def cmd_report(cfg: RunConfig) -> int:
                 writer.writerow([f"{left:.6g}", f"{right:.6g}", int(count)])
 
     goals = [c.goal_amount for c in campaigns if c.goal_amount <= 100_000]
-    ratios = [m["ratio"] for m in meta if m["ratio"] <= MAX_RATIO]
+    ratios = [r for r in labels["ratio"] if r <= MAX_RATIO]
     write_hist(paths["goal_hist"], goals, 0.0, 100_000.0, 4_000.0)
     write_hist(paths["ratio_hist"], ratios, 0.0, MAX_RATIO, 0.1)
     summary = {
-        "n": len(meta),
-        "per_band": {b: sum(1 for m in meta if m["goal_band"] == b) for b in ("B1", "B2", "B3", "B4")},
-        "per_class_two": {str(k): sum(1 for m in meta if m["class_two"] == k) for k in (-2, 2)},
-        "dropped_ratio": sum(1 for m in meta if m["class_two"] is None),
+        "n": len(campaigns),
+        "per_band": {b: labels["goal_band"].count(b) for b in ("B1", "B2", "B3", "B4")},
+        "per_class_two": {str(k): labels["class_two"].count(k) for k in (-2, 2)},
+        "dropped_ratio": labels["class_two"].count(None),
     }
     paths["summary"].write_text(json.dumps(summary, sort_keys=True, indent=1), encoding="utf-8")
     print(f"report: histograms -> {paths['goal_hist']}, {paths['ratio_hist']}")

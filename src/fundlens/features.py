@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -21,6 +22,11 @@ from .errors import EmptySetting, SchemaError, ShapeError
 from .images import EMOTION_KEYS, aggregate_face_features
 from .ingest import PopulationTable
 from .text import Lexicon, campaign_text, clout_surrogate, extract
+
+#: The dataset.jsonl columns features.npz keeps beside the values; a missing
+#: goal band is stored as "" and a missing class as _NO_CLASS (no class is 0).
+LABEL_KEYS = ("goal_band", "ratio", "class_two", "class_four")
+_NO_CLASS = 0
 
 
 @dataclass
@@ -80,7 +86,12 @@ class FeatureMatrix:
             raise SchemaError(f"no such feature column: {name!r}") from None
         return self.values[:, j]
 
-    def save(self, csv_path, meta_path) -> None:
+    def save(self, csv_path, meta_path, npz_path, labels: dict, provenance: dict,
+             dataset_sha256: str) -> None:
+        """Write the exact artifact ``npz_path`` (values bit for bit, ids, names,
+        modalities, ``labels``, ``provenance`` and the dataset's sha256; ``load``
+        is its only reader) and the write-only export: the CSV at ``.10g`` and
+        the modalities and provenance at ``meta_path``."""
         with Path(csv_path).open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["id", *self.names])
@@ -89,31 +100,37 @@ class FeatureMatrix:
                 for v in self.values[i]:
                     row.append("" if math.isnan(v) else f"{v:.10g}")
                 writer.writerow(row)
-        meta = {"modalities": {n: m for n, m in zip(self.names, self.modalities)}}
+        meta = {"modalities": {n: m for n, m in zip(self.names, self.modalities)}, **provenance}
         Path(meta_path).write_text(json.dumps(meta, sort_keys=True, indent=1), encoding="utf-8")
+        np.savez(npz_path, values=np.asarray(self.values, dtype=np.float64),
+                 ids=np.asarray(self.ids, dtype=str), names=np.asarray(self.names, dtype=str),
+                 modalities=np.asarray(self.modalities, dtype=str),
+                 goal_band=np.asarray([b or "" for b in labels["goal_band"]], dtype=str),
+                 ratio=np.asarray(labels["ratio"], dtype=np.float64),
+                 **{k: np.asarray([_NO_CLASS if c is None else c for c in labels[k]], dtype=np.int64)
+                    for k in ("class_two", "class_four")},
+                 provenance=np.asarray(json.dumps(provenance, sort_keys=True)),
+                 dataset_sha256=np.asarray(dataset_sha256))
 
     @classmethod
-    def load(cls, csv_path, meta_path) -> "FeatureMatrix":
-        meta = json.loads(Path(meta_path).read_text(encoding="utf-8"))
-        mod_map = meta["modalities"]
-        with Path(csv_path).open("r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if not header or header[0] != "id":
-                raise SchemaError(f"feature CSV must start with an id column: {csv_path}")
-            names = header[1:]
-            ids = []
-            data = []
-            for row in reader:
-                ids.append(row[0])
-                data.append([float(v) if v != "" else math.nan for v in row[1:]])
-        modalities = []
-        for n in names:
-            if n not in mod_map:
-                raise SchemaError(f"feature {n!r} missing from modality metadata")
-            modalities.append(mod_map[n])
-        values = np.asarray(data, dtype=np.float64) if data else np.zeros((0, len(names)))
-        return cls(ids=ids, names=names, modalities=modalities, values=values)
+    def load(cls, npz_path, dataset_sha256: str):
+        """(matrix, labels, provenance) from ``save``'s ``npz_path``; a corrupt file,
+        or one built from a dataset whose sha256 is not ``dataset_sha256``, is a SchemaError."""
+        try:
+            with np.load(npz_path, allow_pickle=False) as z:
+                matrix = cls(ids=z["ids"].tolist(), names=z["names"].tolist(),
+                             modalities=z["modalities"].tolist(), values=z["values"])
+                labels = {"goal_band": [b or None for b in z["goal_band"].tolist()], "ratio": z["ratio"]}
+                for k in ("class_two", "class_four"):
+                    labels[k] = [None if c == _NO_CLASS else c for c in z[k].tolist()]
+                provenance = json.loads(z["provenance"].item())
+                built_from = z["dataset_sha256"].item()
+        except (zipfile.BadZipFile, ValueError, KeyError, OSError, EOFError) as exc:
+            raise SchemaError(f"{npz_path} is not a complete feature artifact ({exc}); "
+                              f"rerun featurize") from None
+        if built_from != dataset_sha256:
+            raise SchemaError(f"{npz_path} was built from another dataset file; rerun featurize")
+        return matrix, labels, provenance
 
 
 def _state_code(state: str) -> float:

@@ -1,13 +1,20 @@
 import csv
+import io
 import json
 import random
 import shutil
+import time
+import zipfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fundlens import features
-from fundlens.cli import main
+from fundlens.cli import (_dataset_paths, _feature_inputs, _load_dataset, _load_features, build_parser,
+                          load_config, main)
+from fundlens.core import CategoryRegistry
+from fundlens.features import build_feature_matrix
 
 
 SPEC = {
@@ -238,12 +245,12 @@ def _drop_goal_band(line):
 
 
 @pytest.mark.parametrize("command, corrupt", [
-    ("screen", _drop_goal_band),
+    ("featurize", _drop_goal_band),
     ("report", lambda line: "{not json"),
 ], ids=["missing-key", "not-json"])
 def test_malformed_dataset_exits_3(pipeline_dir, tmp_path, capsys, command, corrupt):
     root, out, base = pipeline_dir
-    for name in ("dataset.jsonl", "features.csv", "features_meta.json"):
+    for name in ("dataset.jsonl", "features.csv", "features_meta.json", "features.npz"):
         shutil.copy(out / name, tmp_path / name)
     lines = (tmp_path / "dataset.jsonl").read_text().splitlines()
     lines[4] = corrupt(lines[4])
@@ -253,10 +260,10 @@ def test_malformed_dataset_exits_3(pipeline_dir, tmp_path, capsys, command, corr
 
 
 def test_reordered_dataset_exits_3(pipeline_dir, tmp_path, capsys):
-    # features.csv rows must be the dataset.jsonl campaigns in the same order;
+    # features.npz rows must be the dataset.jsonl campaigns in the same order;
     # matching by position alone would screen and train on the wrong labels.
     root, out, base = pipeline_dir
-    for name in ("dataset.jsonl", "features.csv", "features_meta.json"):
+    for name in ("dataset.jsonl", "features.csv", "features_meta.json", "features.npz"):
         shutil.copy(out / name, tmp_path / name)
     lines = (tmp_path / "dataset.jsonl").read_text().splitlines()
     random.Random(0).shuffle(lines)
@@ -265,7 +272,85 @@ def test_reordered_dataset_exits_3(pipeline_dir, tmp_path, capsys):
         assert main([command, *base, "--out", str(tmp_path), "--trees", "2"]) == 3, command
         assert "rerun featurize" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "dataset.jsonl", "features.csv", "features_meta.json"]
+        "dataset.jsonl", "features.csv", "features.npz", "features_meta.json"]
+
+
+def test_stale_dataset_exits_3(pipeline_dir, tmp_path, capsys):
+    # ingest re-run on a snapshot with the same ids but other raised amounts,
+    # featurize skipped: the features no longer match the labels.
+    root, out, base = pipeline_dir
+    for name in ("features.csv", "features_meta.json", "features.npz"):
+        shutil.copy(out / name, tmp_path / name)
+    assert main(["ingest", *base, "--out", str(tmp_path)]) == 0
+    assert main(["screen", *base, "--out", str(tmp_path)]) == 0  # built from the same snapshot
+    records = [json.loads(line) for line in (root / "data" / "campaigns.jsonl").read_text().splitlines()]
+    for r in records[::2]:
+        r["raised_amount"] = round(r["raised_amount"] * 1.5, 2)
+    edited = tmp_path / "edited.jsonl"
+    edited.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(["ingest", *base, "--out", str(tmp_path), "--campaigns", str(edited)]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    for command in ("screen", "evaluate", "train"):
+        assert main([command, *base, "--out", str(tmp_path), "--trees", "2"]) == 3, command
+        assert capsys.readouterr().err.rstrip().endswith("rerun featurize"), command
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def _truncate_bytes(data):
+    return data[: len(data) // 2]
+
+
+def _drop_npz_member(data):
+    buf = io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(data)) as src, zipfile.ZipFile(buf, "w") as dst:
+        for item in src.infolist():
+            if item.filename != "class_two.npy":
+                dst.writestr(item, src.read(item))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("corrupt", [
+    _truncate_bytes,
+    lambda data: b"id,x\nc1,1.0\n",
+    _drop_npz_member,
+], ids=["truncated", "not-zip", "missing-key"])
+@pytest.mark.parametrize("command", ["screen", "evaluate", "train"])
+def test_corrupt_features_npz_exits_3(pipeline_dir, tmp_path, capsys, command, corrupt):
+    root, out, base = pipeline_dir
+    for name in ("dataset.jsonl", "features.csv", "features_meta.json"):
+        shutil.copy(out / name, tmp_path / name)
+    npz = tmp_path / "features.npz"
+    npz.write_bytes(corrupt((out / "features.npz").read_bytes()))
+    assert main([command, *base, "--out", str(tmp_path), "--trees", "2"]) == 3
+    err = capsys.readouterr().err
+    assert str(npz) in err and err.rstrip().endswith("rerun featurize")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "dataset.jsonl", "features.csv", "features.npz", "features_meta.json"]
+
+
+def test_features_npz_holds_the_exact_features(pipeline_dir):
+    # The stages after featurize see the bits predict builds in memory.
+    root, out, base = pipeline_dir
+    cfg = load_config(None, build_parser().parse_args(["featurize", *base]))
+    campaigns, labels = _load_dataset(out / "dataset.jsonl")
+    built = build_feature_matrix(campaigns, CategoryRegistry.default(), **_feature_inputs(cfg))
+    saved, saved_labels, _ = _load_features(_dataset_paths(cfg))
+    assert saved.ids == built.ids and saved.names == built.names
+    assert np.array_equal(saved.values, built.values, equal_nan=True)
+    assert saved_labels["class_two"] == labels["class_two"]
+
+
+def test_featurize_twice_writes_identical_features_npz(pipeline_dir, tmp_path):
+    root, out, base = pipeline_dir
+    shutil.copy(out / "dataset.jsonl", tmp_path / "dataset.jsonl")
+    runs = []
+    for wait in (1.1, 0):
+        assert main(["featurize", *base, "--out", str(tmp_path)]) == 0
+        runs.append((tmp_path / "features.npz").read_bytes())
+        time.sleep(wait)  # a zip entry stamped with the wall clock would differ
+    assert runs[0] == runs[1] == (out / "features.npz").read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -377,7 +462,7 @@ def test_screened_four_class_models_serve_the_screened_features(pipeline_dir, tm
     # With --assembly screened, train gates each band like evaluate does:
     # basic columns, missingness indicators and the band's screened features.
     root, out, base = pipeline_dir
-    for name in ("dataset.jsonl", "features.csv", "features_meta.json"):
+    for name in ("dataset.jsonl", "features.csv", "features_meta.json", "features.npz"):
         shutil.copy(out / name, tmp_path / name)
     args = [*base, "--out", str(tmp_path), "--assembly", "screened", "--target", "four-class",
             "--trees", "5"]

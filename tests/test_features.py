@@ -1,4 +1,5 @@
 import datetime
+import json
 
 import numpy as np
 import pytest
@@ -57,21 +58,35 @@ def test_matrix_save_load_roundtrip(tmp_path):
         ids=["a", "b", "c"],
         names=["x", "y"],
         modalities=["basic", "text"],
-        values=np.array([[1.5, np.nan], [0.1, 2.0], [3.0, -7.25]]),
+        values=np.array([[1.5, np.nan], [0.1, 2.0], [3.0, 1 / 3]]),
     )
-    csv_path, meta_path = tmp_path / "f.csv", tmp_path / "f.json"
-    m.save(csv_path, meta_path)
-    loaded = FeatureMatrix.load(csv_path, meta_path)
+    labels = {"goal_band": ["B1", None, "B4"], "ratio": [0.25, 3.0, 1.3],
+              "class_two": [-2, None, 2], "class_four": [-2, None, 2]}
+    provenance = {"provider_tags": {"faces": "none", "quality": "none"}, "lexicon_fingerprint": "f"}
+
+    def save(stem):
+        paths = [tmp_path / f"{stem}.csv", tmp_path / f"{stem}.json", tmp_path / f"{stem}.npz"]
+        m.save(*paths, labels, provenance, "sha-of-dataset")
+        return [p.read_bytes() for p in paths]
+
+    first = save("f")
+    loaded, got_labels, got_provenance = FeatureMatrix.load(tmp_path / "f.npz", "sha-of-dataset")
     assert loaded.ids == m.ids
     assert loaded.names == m.names
     assert loaded.modalities == m.modalities
-    np.testing.assert_allclose(loaded.values, m.values, equal_nan=True)
+    assert np.array_equal(loaded.values, m.values, equal_nan=True)
+    assert got_labels["goal_band"] == labels["goal_band"]
+    assert got_labels["ratio"].tolist() == labels["ratio"]
+    for key in ("class_two", "class_four"):
+        assert got_labels[key] == labels[key]
+        assert all(type(c) is int for c in got_labels[key] if c is not None)
+    assert got_provenance == provenance
+    assert json.loads((tmp_path / "f.json").read_text()) == {
+        "modalities": {"x": "basic", "y": "text"}, **provenance}
     # a second save is byte-identical (deterministic formatting)
-    again_csv = tmp_path / "g.csv"
-    again_meta = tmp_path / "g.json"
-    loaded.save(again_csv, again_meta)
-    assert again_csv.read_bytes() == csv_path.read_bytes()
-    assert again_meta.read_bytes() == meta_path.read_bytes()
+    assert save("g") == first
+    with pytest.raises(SchemaError, match="another dataset file; rerun featurize"):
+        FeatureMatrix.load(tmp_path / "f.npz", "sha-of-another-dataset")
 
 
 def test_build_feature_matrix_columns(registry, lexicon, tmp_path):
