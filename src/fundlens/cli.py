@@ -17,6 +17,7 @@ import json
 import sys
 from dataclasses import dataclass, field, fields
 from datetime import date
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional
 
@@ -26,6 +27,7 @@ from . import forest as rf
 from .core import (
     Campaign,
     CategoryRegistry,
+    MAX_GOAL,
     MAX_RATIO,
     assign_binary_class,
     assign_goal_band,
@@ -54,23 +56,15 @@ def _parse_bool(raw: str) -> bool:
         raise ValueError(raw) from None
 
 
-def _parse_settings(raw: str):
-    out = []
-    for token in raw.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            out.append(Setting(token))
-        except ValueError:
-            raise ConfigError(f"unknown setting {token!r}") from None
-    if not out:
-        raise ConfigError("settings list is empty")
-    return tuple(out)
-
-
 def _parse_list(raw: str) -> tuple:
     return tuple(t.strip() for t in raw.split(",") if t.strip())
+
+
+def _parse_settings(raw: str) -> tuple:
+    settings = tuple(Setting(name) for name in _parse_list(raw))  # ValueError on an unknown name
+    if not settings:
+        raise ValueError(raw)
+    return settings
 
 
 def _opt(default, parse):
@@ -173,8 +167,18 @@ def load_config(path: Optional[str], args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"assembly must be all-features or screened, got {cfg.assembly!r}")
     if not set(cfg.full_settings_bands) <= {"B1", "B2", "B3", "B4"}:
         raise ConfigError(f"full_settings_bands must name bands B1-B4, got {cfg.full_settings_bands!r}")
+    if cfg.train_setting not in {s.value for s in Setting} - {Setting.LATE_FUSION.value}:
+        raise ConfigError(f"train_setting must name a single-model setting, got {cfg.train_setting!r}")
     if cfg.jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {cfg.jobs}")
+    if not 0 <= cfg.alpha <= 1:  # NaN fails too
+        raise ConfigError(f"alpha must be in [0, 1], got {cfg.alpha}")
+    if cfg.min_band_n < 2:
+        raise ConfigError(f"min_band_n must be >= 2, got {cfg.min_band_n}")
+    try:
+        cfg.forest_config()
+    except ConfigError as exc:  # name the option, not the ForestConfig field
+        raise ConfigError(str(exc).replace("n_estimators", "trees")) from None
     return cfg
 
 
@@ -236,9 +240,19 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _load_dataset(path: Path):
-    """The campaigns of the dataset file cmd_ingest wrote, and its ``LABEL_KEYS`` columns."""
-    campaigns = []
+#: The Campaign fields of every dataset.jsonl record, beside its LABEL_KEYS columns.
+_CAMPAIGN_FIELDS = tuple(f.name for f in fields(Campaign))
+
+
+def _campaign(obj: dict) -> Campaign:
+    """The Campaign of a dataset.jsonl record."""
+    return Campaign(**{k: obj[k] for k in _CAMPAIGN_FIELDS if k != "launch_date"},
+                    launch_date=date.fromisoformat(obj["launch_date"]))
+
+
+def _load_dataset(path: Path, parse):
+    """``parse`` of every record of the dataset file cmd_ingest wrote, and its label columns."""
+    records = []
     labels = {k: [] for k in LABEL_KEYS}
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -247,52 +261,34 @@ def _load_dataset(path: Path):
                 continue
             try:
                 obj = json.loads(line)
-                campaigns.append(Campaign(
-                    id=obj["id"], launch_date=date.fromisoformat(obj["launch_date"]),
-                    city=obj["city"], state=obj["state"], country=obj["country"],
-                    title=obj["title"], description=obj["description"], category=obj["category"],
-                    goal_amount=obj["goal_amount"], raised_amount=obj["raised_amount"],
-                    num_followers=obj["num_followers"], num_shares=obj["num_shares"],
-                    num_donors=obj["num_donors"], cover_image=obj.get("cover_image"),
-                ))
+                records.append(parse(obj))
                 for k in LABEL_KEYS:
                     labels[k].append(obj[k])
             except (ValueError, KeyError, TypeError) as exc:
                 raise DataError(f"{path}, line {lineno}: malformed dataset record: {exc!r}") from None
-    return campaigns, labels
+    return records, labels
 
 
 def _load_features(paths: dict):
     """features.npz as (matrix, labels, provenance), checked to be built from
     the current dataset.jsonl (a stale, edited or reordered one is a data error)."""
-    return FeatureMatrix.load(_require(paths["features"], "feature matrix (run featurize first)"),
-                              _sha256(_require(paths["dataset"], "dataset file")))
+    return FeatureMatrix.load(paths["features"], _sha256(paths["dataset"]))
 
 
-def cmd_ingest(cfg: RunConfig) -> int:
-    paths = _dataset_paths(cfg)
+def cmd_ingest(cfg: RunConfig, paths: dict) -> int:
     registry = _registry(cfg)
     src = _require(cfg.campaigns, "campaign snapshot")
     campaigns, report = load_campaigns(src, registry)
     Path(cfg.out).mkdir(parents=True, exist_ok=True)
     with paths["dataset"].open("w", encoding="utf-8") as fh:
         for c in campaigns:
-            ratio = c.ratio
-            band = assign_goal_band(c.goal_amount)
-            four = assign_success_class(ratio) if ratio <= MAX_RATIO else None
-            two = assign_binary_class(ratio) if ratio <= MAX_RATIO else None
-            obj = {
-                "id": c.id, "launch_date": c.launch_date.isoformat(),
-                "city": c.city, "state": c.state, "country": c.country,
-                "title": c.title, "description": c.description, "category": c.category,
-                "goal_amount": c.goal_amount, "raised_amount": c.raised_amount,
-                "num_followers": c.num_followers, "num_shares": c.num_shares,
-                "num_donors": c.num_donors, "cover_image": c.cover_image,
-                "ratio": ratio,
-                "goal_band": band.name if band is not None else None,
-                "class_four": int(four) if four is not None else None,
-                "class_two": two,
-            }
+            ratio, band = c.ratio, assign_goal_band(c.goal_amount)
+            four = assign_success_class(ratio)  # None, like class_two, above MAX_RATIO
+            obj = {k: getattr(c, k) for k in _CAMPAIGN_FIELDS}
+            obj.update(launch_date=c.launch_date.isoformat(), ratio=ratio,
+                       goal_band=band.name if band is not None else None,
+                       class_four=int(four) if four is not None else None,
+                       class_two=assign_binary_class(ratio))
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
     paths["ingest_report"].write_text(
         json.dumps(report.as_dict(), sort_keys=True, indent=1), encoding="utf-8")
@@ -318,11 +314,9 @@ def _feature_inputs(cfg: RunConfig) -> dict:
     }
 
 
-def cmd_featurize(cfg: RunConfig) -> int:
-    paths = _dataset_paths(cfg)
+def cmd_featurize(cfg: RunConfig, paths: dict) -> int:
     registry = _registry(cfg)
-    dataset = _require(paths["dataset"], "dataset file (run ingest first)")
-    campaigns, labels = _load_dataset(dataset)
+    campaigns, labels = _load_dataset(paths["dataset"], _campaign)
     inputs = _feature_inputs(cfg)
     matrix = build_feature_matrix(campaigns, registry, **inputs)
     provider = inputs["face_provider"]
@@ -330,7 +324,7 @@ def cmd_featurize(cfg: RunConfig) -> int:
             "faces": provider.tag if provider is not None else "none"}
     provenance = {"provider_tags": tags, "lexicon_fingerprint": _lexicon_fingerprint(cfg)}
     matrix.save(paths["features_csv"], paths["features_meta"], paths["features"],
-                labels, provenance, _sha256(dataset))
+                labels, provenance, _sha256(paths["dataset"]))
     print(f"featurize: {len(matrix.ids)} rows x {len(matrix.names)} features -> {paths['features']}")
     return 0
 
@@ -372,8 +366,7 @@ def _screen_all(matrix: FeatureMatrix, labels, cfg: RunConfig):
     return all_rows, all_notes
 
 
-def cmd_screen(cfg: RunConfig) -> int:
-    paths = _dataset_paths(cfg)
+def cmd_screen(cfg: RunConfig, paths: dict) -> int:
     matrix, labels, _ = _load_features(paths)
     rows, notes = _screen_all(matrix, labels, cfg)
     with paths["screening"].open("w", encoding="utf-8", newline="") as fh:
@@ -403,8 +396,7 @@ def _screened_by_band(matrix, labels, cfg):
     return gate
 
 
-def cmd_evaluate(cfg: RunConfig) -> int:
-    paths = _dataset_paths(cfg)
+def cmd_evaluate(cfg: RunConfig, paths: dict) -> int:
     matrix, labels, provenance = _load_features(paths)
     screened = _screened_by_band(matrix, labels, cfg) if cfg.assembly == "screened" else None
     report = run_experiment(
@@ -419,15 +411,9 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    paths = _dataset_paths(cfg)
+def cmd_train(cfg: RunConfig, paths: dict) -> int:
     matrix, labels, _ = _load_features(paths)
-    try:
-        setting = Setting(cfg.train_setting)
-    except ValueError:
-        raise ConfigError(f"unknown train setting {cfg.train_setting!r}") from None
-    if setting == Setting.LATE_FUSION:
-        raise ConfigError("train persists single models; pick a non-late-fusion setting")
+    setting = Setting(cfg.train_setting)
     screened = _screened_by_band(matrix, labels, cfg) if cfg.assembly == "screened" else None
     bands, labels = labels["goal_band"], labels[_CLASS_KEY[cfg.target]]
     model_dir = paths["models"]
@@ -477,10 +463,9 @@ def _load_band_model(model_dir: Path, band: str):
     return model, base_names, medians, out_names
 
 
-def cmd_predict(cfg: RunConfig, campaign_file: str) -> int:
-    paths = _dataset_paths(cfg)
+def cmd_predict(cfg: RunConfig, paths: dict, campaign_file: str) -> int:
     registry = _registry(cfg)
-    model_dir = _require(paths["models"], "model directory (run train first)")
+    model_dir = paths["models"]
     src = _require(Path(campaign_file), "campaign file")
     campaigns, _ = load_campaigns(src, registry)
     matrix = build_feature_matrix(campaigns, registry, **_feature_inputs(cfg))
@@ -517,19 +502,18 @@ def cmd_predict(cfg: RunConfig, campaign_file: str) -> int:
     return 0
 
 
-def cmd_synth(cfg: RunConfig, spec_file: str) -> int:
+def cmd_synth(cfg: RunConfig, paths: dict, spec_file: str) -> int:
     spec = SynthSpec.from_file(_require(Path(spec_file), "synthetic spec file"))
     registry = _registry(cfg)
     lexicon = _lexicon(cfg)
     ds = generate_dataset(spec, cfg.seed, lexicon, registry)
-    paths = write_dataset(ds, cfg.out)
-    print(f"synth: {ds.manifest['n_campaigns']} campaigns -> {paths['campaigns']}")
+    written = write_dataset(ds, cfg.out)
+    print(f"synth: {ds.manifest['n_campaigns']} campaigns -> {written['campaigns']}")
     return 0
 
 
-def cmd_report(cfg: RunConfig) -> int:
-    paths = _dataset_paths(cfg)
-    campaigns, labels = _load_dataset(_require(paths["dataset"], "dataset file"))
+def cmd_report(cfg: RunConfig, paths: dict) -> int:
+    goals, labels = _load_dataset(paths["dataset"], itemgetter("goal_amount"))
 
     def write_hist(path, values, lo, hi, width):
         edges = np.arange(lo, hi + width / 2, width)
@@ -540,12 +524,11 @@ def cmd_report(cfg: RunConfig) -> int:
             for left, right, count in zip(edges[:-1], edges[1:], counts):
                 writer.writerow([f"{left:.6g}", f"{right:.6g}", int(count)])
 
-    goals = [c.goal_amount for c in campaigns if c.goal_amount <= 100_000]
     ratios = [r for r in labels["ratio"] if r <= MAX_RATIO]
-    write_hist(paths["goal_hist"], goals, 0.0, 100_000.0, 4_000.0)
+    write_hist(paths["goal_hist"], [g for g in goals if g <= MAX_GOAL], 0.0, MAX_GOAL, 4_000.0)
     write_hist(paths["ratio_hist"], ratios, 0.0, MAX_RATIO, 0.1)
     summary = {
-        "n": len(campaigns),
+        "n": len(goals),
         "per_band": {b: labels["goal_band"].count(b) for b in ("B1", "B2", "B3", "B4")},
         "per_class_two": {str(k): labels["class_two"].count(k) for k in (-2, 2)},
         "dropped_ratio": labels["class_two"].count(None),
@@ -555,60 +538,56 @@ def cmd_report(cfg: RunConfig) -> int:
     return 0
 
 
+#: Every stage in pipeline order: the _dataset_paths keys it reads and its
+#: positional argument. main checks the inputs exist before the stage runs.
+STAGES = {
+    "synth": ((), "spec_file"),
+    "ingest": ((), None),
+    "featurize": (("dataset",), None),
+    "screen": (("dataset", "features"), None),
+    "evaluate": (("dataset", "features"), None),
+    "train": (("dataset", "features"), None),
+    "predict": (("models",), "campaign_file"),
+    "report": (("dataset",), None),
+}
+#: The stage that writes each input a stage reads.
+_WRITER = {"dataset": "ingest", "features": "featurize", "models": "train"}
+#: What main prints and returns for each error it catches, subclasses first.
+_FAILURES = ((ConfigError, "config error", 2), (DataError, "data error", 3),
+             (OSError, "io error", 2), (FundlensError, "error", 1))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fundlens",
                                      description="Multimodal crowdfunding analytics pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, (_, arg) in STAGES.items():
+        p = sub.add_parser(name)
         p.add_argument("--config", help="INI config file; flags override its values")
         for f in fields(RunConfig):
             p.add_argument("--" + f.name.replace("_", "-"))
-
-    for name in ("ingest", "featurize", "screen", "train", "evaluate", "report"):
-        add_common(sub.add_parser(name))
-    p = sub.add_parser("predict")
-    add_common(p)
-    p.add_argument("campaign_file")
-    p = sub.add_parser("synth")
-    add_common(p)
-    p.add_argument("spec_file")
+        if arg:
+            p.add_argument(arg)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    reads, arg = STAGES[args.command]
     try:
         cfg = load_config(args.config, args)
-        if args.command == "ingest":
-            return cmd_ingest(cfg)
-        if args.command == "featurize":
-            return cmd_featurize(cfg)
-        if args.command == "screen":
-            return cmd_screen(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg)
-        if args.command == "predict":
-            return cmd_predict(cfg, args.campaign_file)
-        if args.command == "synth":
-            return cmd_synth(cfg, args.spec_file)
-        if args.command == "report":
-            return cmd_report(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 2
-    except FundlensError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        paths = _dataset_paths(cfg)
+        for key in reads:
+            if not paths[key].exists():
+                raise ConfigError(f"{paths[key]} not found; run {_WRITER[key]} first")
+        # Looked up at call time, not kept in a table: the benchmark tracer
+        # (perfbench/tracer.py) times a stage by replacing this module attribute.
+        stage = globals()[f"cmd_{args.command}"]
+        return stage(cfg, paths, *([getattr(args, arg)] if arg else []))
+    except (FundlensError, OSError) as exc:
+        kind, code = next((k, c) for cls, k, c in _FAILURES if isinstance(exc, cls))
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

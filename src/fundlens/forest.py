@@ -40,9 +40,13 @@ class ForestConfig:
 
     def __post_init__(self):
         if self.n_estimators < 1:
-            raise ConfigError("n_estimators must be >= 1")
+            raise ConfigError(f"n_estimators must be >= 1, got {self.n_estimators}")
         if self.min_samples_split < 2:
-            raise ConfigError("min_samples_split must be >= 2")
+            raise ConfigError(f"min_samples_split must be >= 2, got {self.min_samples_split}")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ConfigError(f"max_depth must be >= 0, got {self.max_depth}")
+        if self.max_features is not None and self.max_features < 1:
+            raise ConfigError(f"max_features must be >= 1, got {self.max_features}")
 
     def resolved_max_features(self, d: int) -> int:
         mf = self.max_features if self.max_features is not None else math.ceil(math.sqrt(d))
@@ -331,7 +335,7 @@ class RandomForest:
             importance_raw = np.asarray(payload["importance_raw"], dtype=np.float64)
         except KeyError as exc:
             raise bad(f"missing field {exc}") from None
-        except (TypeError, ValueError) as exc:  # e.g. a "criterion" config key, ragged arrays
+        except (TypeError, ValueError, ConfigError) as exc:  # a bad config key or value, ragged arrays
             raise bad(f"malformed model: {exc}") from None
         if importance_raw.shape != (len(feature_names),):
             raise bad("importance_raw does not match feature_names")

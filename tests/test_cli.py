@@ -10,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fundlens import features
-from fundlens.cli import (_dataset_paths, _feature_inputs, _load_dataset, _load_features, build_parser,
-                          load_config, main)
+from fundlens import cli, features
+from fundlens.cli import _dataset_paths, _feature_inputs, _load_features, build_parser, load_config, main
 from fundlens.core import CategoryRegistry
 from fundlens.features import build_feature_matrix
+from fundlens.ingest import load_campaigns
 
 
 SPEC = {
@@ -184,6 +184,23 @@ def test_config_file_and_flag_override(pipeline_dir, tmp_path, monkeypatch, caps
     for jobs in ("0", "-1"):
         assert main(["ingest", "--config", "run.ini", f"--jobs={jobs}"]) == 2
         assert "jobs must be >= 1" in capsys.readouterr().err
+    # Every option value is checked before any stage runs, under the option's own name.
+    for flag, value, problem in [
+        ("--alpha", "2", "alpha must be in [0, 1]"),
+        ("--alpha", "-0.1", "alpha must be in [0, 1]"),
+        ("--alpha", "nan", "alpha must be in [0, 1]"),
+        ("--min-band-n", "0", "min_band_n must be >= 2"),
+        ("--trees", "0", "trees must be >= 1"),
+        ("--max-depth", "-1", "max_depth must be >= 0"),
+        ("--max-features", "0", "max_features must be >= 1"),
+        ("--train-setting", "LateFusion", "train_setting must name a single-model setting"),
+        ("--train-setting", "Bogus", "train_setting must name a single-model setting"),
+        ("--settings", "Basic,Bogus", "bad value for settings"),
+    ]:
+        for command in ("screen", "evaluate", "train"):
+            assert main([command, "--config", "run.ini", f"{flag}={value}"]) == 2, (flag, value)
+            assert problem in capsys.readouterr().err, (flag, value)
+    assert main(["ingest", "--config", "run.ini", "--max-depth", "0", "--alpha", "1"]) == 0
 
 
 def test_missing_seed_is_config_error(pipeline_dir, capsys):
@@ -198,6 +215,33 @@ def test_missing_input_file_exits_2(tmp_path):
     rc = main(["ingest", "--seed", "1", "--out", str(tmp_path / "o"),
                "--campaigns", str(tmp_path / "nope.jsonl")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command, present, missing, writer", [
+    ("featurize", [], "dataset.jsonl", "ingest"),
+    ("screen", [], "dataset.jsonl", "ingest"),
+    ("screen", ["dataset.jsonl"], "features.npz", "featurize"),
+    ("evaluate", [], "dataset.jsonl", "ingest"),
+    ("train", [], "dataset.jsonl", "ingest"),
+    ("report", [], "dataset.jsonl", "ingest"),
+    ("predict", [], "models", "train"),
+])
+def test_missing_stage_input_names_the_stage_to_run(pipeline_dir, tmp_path, capsys,
+                                                    command, present, missing, writer):
+    root, out, base = pipeline_dir
+    for name in present:
+        shutil.copy(out / name, tmp_path / name)
+    extra = [str(root / "data" / "campaigns.jsonl")] if command == "predict" else []
+    assert main([command, *base, "--out", str(tmp_path), *extra]) == 2
+    assert capsys.readouterr().err.rstrip().endswith(f"{tmp_path / missing} not found; run {writer} first")
+    assert sorted(p.name for p in tmp_path.iterdir()) == present
+
+
+def test_main_dispatches_through_the_module_attribute(pipeline_dir, monkeypatch):
+    # The benchmark tracer times each stage by replacing cli.cmd_<stage>.
+    root, out, base = pipeline_dir
+    monkeypatch.setattr(cli, "cmd_report", lambda cfg, paths: 42)
+    assert main(["report", *base]) == 42
 
 
 def test_unparseable_data_exits_3(tmp_path):
@@ -334,12 +378,14 @@ def test_features_npz_holds_the_exact_features(pipeline_dir):
     # The stages after featurize see the bits predict builds in memory.
     root, out, base = pipeline_dir
     cfg = load_config(None, build_parser().parse_args(["featurize", *base]))
-    campaigns, labels = _load_dataset(out / "dataset.jsonl")
-    built = build_feature_matrix(campaigns, CategoryRegistry.default(), **_feature_inputs(cfg))
+    registry = CategoryRegistry.default()
+    campaigns, _ = load_campaigns(root / "data" / "campaigns.jsonl", registry)  # predict's path
+    built = build_feature_matrix(campaigns, registry, **_feature_inputs(cfg))
     saved, saved_labels, _ = _load_features(_dataset_paths(cfg))
     assert saved.ids == built.ids and saved.names == built.names
     assert np.array_equal(saved.values, built.values, equal_nan=True)
-    assert saved_labels["class_two"] == labels["class_two"]
+    dataset = [json.loads(line) for line in (out / "dataset.jsonl").read_text().splitlines()]
+    assert saved_labels["class_two"] == [r["class_two"] for r in dataset]
 
 
 def test_featurize_twice_writes_identical_features_npz(pipeline_dir, tmp_path):
@@ -435,13 +481,21 @@ def _drop_trees(text):
     return json.dumps(payload)
 
 
+def _no_trees_config(text):
+    payload = json.loads(text)
+    payload["config"]["n_estimators"] = 0
+    return json.dumps(payload)
+
+
 @pytest.mark.parametrize("corrupt", [
     _truncate,
     _drop_trees,
     _corrupt_tree("feature", lambda t: [10_000] + t["feature"][1:]),
     _corrupt_tree("left", lambda t: [0] + t["left"][1:]),  # the root as its own child: a cycle
     _corrupt_tree("counts", lambda t: [row + [0.0] for row in t["counts"]]),
-], ids=["truncated", "no-trees", "feature-out-of-range", "child-not-after-node", "counts-width"])
+    _no_trees_config,
+], ids=["truncated", "no-trees", "feature-out-of-range", "child-not-after-node", "counts-width",
+        "bad-config"])
 def test_corrupt_model_exits_3_before_writing(pipeline_dir, served, tmp_path, capsys, corrupt):
     root, out, base = pipeline_dir
     models, batch = served

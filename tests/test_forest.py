@@ -106,6 +106,11 @@ def test_config_validation():
         ForestConfig(n_estimators=0)
     with pytest.raises(ConfigError):
         ForestConfig(min_samples_split=1)
+    with pytest.raises(ConfigError, match="max_depth"):
+        ForestConfig(max_depth=-1)
+    with pytest.raises(ConfigError, match="max_features"):
+        ForestConfig(max_features=0)
+    assert ForestConfig(max_depth=0).max_depth == 0
     assert ForestConfig(max_features=None).resolved_max_features(16) == 4
     assert ForestConfig(max_features=None).resolved_max_features(10) == 4  # ceil(sqrt)
     assert ForestConfig(max_features=3).resolved_max_features(10) == 3
