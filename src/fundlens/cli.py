@@ -15,7 +15,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from datetime import date
 from operator import itemgetter
 from pathlib import Path
@@ -25,6 +25,7 @@ import numpy as np
 
 from . import forest as rf
 from .core import (
+    BANDS,
     Campaign,
     CategoryRegistry,
     MAX_GOAL,
@@ -34,12 +35,7 @@ from .core import (
     assign_success_class,
 )
 from .errors import ConfigError, DataError, FundlensError, SchemaError
-from .experiment import (
-    ExperimentConfig,
-    Setting,
-    assemble,
-    run_experiment,
-)
+from .experiment import Setting, assemble, labeled_bands, run_experiment
 from .features import (LABEL_KEYS, FeatureMatrix, apply_imputation, build_feature_matrix,
                        impute_with_indicators)
 from .images import StubFaceProvider, load_precomputed_quality
@@ -95,6 +91,8 @@ class RunConfig:
     cv_folds: int = _opt(10, int)
     min_band_n: int = _opt(30, int)
     settings: tuple = _opt(tuple(Setting), _parse_settings)
+    #: Bands that run all settings; the rest run Basic only (the high-goal
+    #: bands found no extra significant features).
     full_settings_bands: tuple = _opt(("B1", "B2"), _parse_list)
     train_setting: str = _opt("EarlyFusionAll", str)
 
@@ -108,17 +106,13 @@ class RunConfig:
             seed=seed,
         )
 
-    def experiment_config(self) -> ExperimentConfig:
-        return ExperimentConfig(
-            seed=self.seed,
-            forest=self.forest_config(),
-            settings=self.settings,
-            cv_folds=self.cv_folds,
-            min_band_n=self.min_band_n,
-            target=self.target,
-            assembly=self.assembly,
-            full_settings_bands=self.full_settings_bands,
-        )
+    def fingerprint(self) -> str:
+        """Hash of the options that decide evaluate's report."""
+        payload = {k: getattr(self, k) for k in (
+            "seed", "cv_folds", "min_band_n", "target", "assembly", "full_settings_bands")}
+        payload.update(forest=asdict(self.forest_config()), settings=[s.value for s in self.settings])
+        blob = json.dumps(payload, sort_keys=True, default=str)
+        return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def _read_ini(path: str) -> dict:
@@ -161,11 +155,13 @@ def load_config(path: Optional[str], args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(**values)
     if cfg.seed is None:
         raise ConfigError("seed is mandatory: set seed in the config or pass --seed")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.target not in ("two-class", "four-class"):
         raise ConfigError(f"target must be two-class or four-class, got {cfg.target!r}")
     if cfg.assembly not in ("all-features", "screened"):
         raise ConfigError(f"assembly must be all-features or screened, got {cfg.assembly!r}")
-    if not set(cfg.full_settings_bands) <= {"B1", "B2", "B3", "B4"}:
+    if not set(cfg.full_settings_bands) <= set(BANDS):
         raise ConfigError(f"full_settings_bands must name bands B1-B4, got {cfg.full_settings_bands!r}")
     if cfg.train_setting not in {s.value for s in Setting} - {Setting.LATE_FUSION.value}:
         raise ConfigError(f"train_setting must name a single-model setting, got {cfg.train_setting!r}")
@@ -175,6 +171,8 @@ def load_config(path: Optional[str], args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"alpha must be in [0, 1], got {cfg.alpha}")
     if cfg.min_band_n < 2:
         raise ConfigError(f"min_band_n must be >= 2, got {cfg.min_band_n}")
+    if cfg.cv_folds < 1:
+        raise ConfigError(f"cv_folds must be >= 1 (1 runs the holdout only), got {cfg.cv_folds}")
     try:
         cfg.forest_config()
     except ConfigError as exc:  # name the option, not the ForestConfig field
@@ -342,7 +340,7 @@ def _screen_all(matrix: FeatureMatrix, labels, cfg: RunConfig):
                 if matrix.names[j].startswith("cat_")]
     all_rows = []
     all_notes = []
-    for band in ("B1", "B2", "B3", "B4"):
+    for band in BANDS:
         band_rows = [i for i in analysis if bands[i] == band]
         for j, cat in sorted(cat_cols, key=lambda t: t[1]):
             cell = [i for i in band_rows if matrix.values[i, j] == 1.0]
@@ -399,12 +397,13 @@ def _screened_by_band(matrix, labels, cfg):
 def cmd_evaluate(cfg: RunConfig, paths: dict) -> int:
     matrix, labels, provenance = _load_features(paths)
     screened = _screened_by_band(matrix, labels, cfg) if cfg.assembly == "screened" else None
-    report = run_experiment(
-        labels["goal_band"], labels[_CLASS_KEY[cfg.target]], matrix, cfg.experiment_config(),
-        screened_by_band=screened, jobs=cfg.jobs,
-        extra_header={"provider_tags": json.dumps(provenance["provider_tags"], sort_keys=True),
-                      "lexicon_fingerprint": provenance["lexicon_fingerprint"], "alpha": cfg.alpha},
-    )
+    header = {k: getattr(cfg, k) for k in ("seed", "target", "assembly", "min_samples_split",
+                                           "cv_folds", "alpha")}
+    header.update(config_fingerprint=cfg.fingerprint(), n_estimators=cfg.trees,
+                  provider_tags=json.dumps(provenance["provider_tags"], sort_keys=True),
+                  lexicon_fingerprint=provenance["lexicon_fingerprint"])
+    report = run_experiment(labels["goal_band"], labels[_CLASS_KEY[cfg.target]], matrix, cfg,
+                            header, screened_by_band=screened, jobs=cfg.jobs)
     paths["report_csv"].write_text(report.to_csv_text(), encoding="utf-8")
     paths["report_json"].write_text(report.to_json_text(), encoding="utf-8")
     print(f"evaluate: {len(report.rows)} rows, {len(report.totals)} totals -> {paths['report_csv']}")
@@ -415,22 +414,16 @@ def cmd_train(cfg: RunConfig, paths: dict) -> int:
     matrix, labels, _ = _load_features(paths)
     setting = Setting(cfg.train_setting)
     screened = _screened_by_band(matrix, labels, cfg) if cfg.assembly == "screened" else None
-    bands, labels = labels["goal_band"], labels[_CLASS_KEY[cfg.target]]
     model_dir = paths["models"]
     model_dir.mkdir(parents=True, exist_ok=True)
-    forest = cfg.forest_config(seed=cfg.seed)
     fits = []   # _fit_band arguments, one per trained band
     metas = []  # the matching _meta.json contents
-    for band in ("B1", "B2", "B3", "B4"):
-        idx = np.asarray([i for i, (b, lab) in enumerate(zip(bands, labels))
-                          if b == band and lab is not None], dtype=np.intp)
-        if idx.size < cfg.min_band_n:
-            continue
+    for band, idx, y in labeled_bands(labels["goal_band"], labels[_CLASS_KEY[cfg.target]],
+                                      cfg.min_band_n, []):
         sub = assemble(matrix.take_rows(idx), setting,
                        screened.get(band, set()) if screened is not None else None)
-        y = np.asarray([labels[i] for i in idx])
         X, _, names, medians = impute_with_indicators(sub.values, None, sub.names)
-        fits.append((X, y, forest, names))
+        fits.append((X, y, cfg.forest_config(seed=cfg.seed), names))
         metas.append({"band": band, "setting": setting.value, "target": cfg.target,
                       "base_names": sub.names, "out_names": names, "medians": medians})
     if not fits:
@@ -469,7 +462,7 @@ def cmd_predict(cfg: RunConfig, paths: dict, campaign_file: str) -> int:
     src = _require(Path(campaign_file), "campaign file")
     campaigns, _ = load_campaigns(src, registry)
     matrix = build_feature_matrix(campaigns, registry, **_feature_inputs(cfg))
-    models = {band: _load_band_model(model_dir, band) for band in ("B1", "B2", "B3", "B4")
+    models = {band: _load_band_model(model_dir, band) for band in BANDS
               if (model_dir / f"{band}.json").is_file()}
     if not models:
         raise ConfigError(f"no trained models found under {model_dir}")
@@ -529,7 +522,7 @@ def cmd_report(cfg: RunConfig, paths: dict) -> int:
     write_hist(paths["ratio_hist"], ratios, 0.0, MAX_RATIO, 0.1)
     summary = {
         "n": len(goals),
-        "per_band": {b: labels["goal_band"].count(b) for b in ("B1", "B2", "B3", "B4")},
+        "per_band": {b: labels["goal_band"].count(b) for b in BANDS},
         "per_class_two": {str(k): labels["class_two"].count(k) for k in (-2, 2)},
         "dropped_ratio": labels["class_two"].count(None),
     }

@@ -43,6 +43,10 @@ class GoalBand(Enum):
         return self.low < goal <= self.high
 
 
+#: The band names, in goal order: the order every per-band loop uses.
+BANDS = tuple(GoalBand.__members__)
+
+
 class SuccessClass(IntEnum):
     """Four-way success labels over the raised/goal ratio."""
 

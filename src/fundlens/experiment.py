@@ -6,15 +6,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from . import forest as rf
+from .core import BANDS
 from .errors import EmptySetting, InsufficientData, LabelError, ShapeError
 from .features import FeatureMatrix, impute_with_indicators
+
+if TYPE_CHECKING:  # cli imports this module
+    from .cli import RunConfig
 
 
 class Setting(Enum):
@@ -170,26 +174,6 @@ def compute_metrics(y_true, y_pred, labels=None) -> Metrics:
 
 
 @dataclass
-class ExperimentConfig:
-    seed: int = 0
-    forest: rf.ForestConfig = field(default_factory=lambda: rf.ForestConfig(n_estimators=100))
-    settings: tuple = tuple(Setting)
-    cv_folds: int = 10
-    min_band_n: int = 30
-    target: str = "two-class"          # or "four-class"
-    assembly: str = "all-features"     # or "screened"
-    #: Bands that run all settings; the rest run Basic only (no extra
-    #: significant features were found in the high-goal bands).
-    full_settings_bands: tuple = ("B1", "B2")
-
-    def fingerprint(self) -> str:
-        payload = asdict(self)
-        payload["settings"] = [s.value for s in self.settings]
-        blob = json.dumps(payload, sort_keys=True, default=str)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-@dataclass
 class ReportRow:
     goal_band: str
     setting: str
@@ -309,12 +293,30 @@ def _fit_predict(task: _FitTask) -> np.ndarray:
     return late_fuse(models, xs) if late else models[0].predict(xs[0])
 
 
-def run_experiment(bands, labels, matrix: FeatureMatrix, cfg: ExperimentConfig,
-                   screened_by_band=None, extra_header=None, jobs: int = 1) -> ExperimentReport:
+def labeled_bands(bands, labels, min_band_n: int, notes: list):
+    """(band, row indices, labels) of each band with at least ``min_band_n`` labeled
+    rows, in band order; a smaller band is noted as skipped. A generator, so that
+    note follows the notes the caller made for the bands before it."""
+    for band in BANDS:
+        idx = np.asarray([i for i, (b, lab) in enumerate(zip(bands, labels))
+                          if b == band and lab is not None], dtype=np.intp)
+        if idx.size < min_band_n:
+            notes.append(f"skipped band {band}: n={idx.size} < {min_band_n}")
+            continue
+        yield band, idx, np.asarray([labels[i] for i in idx])
+
+
+#: The metrics averaged over CV folds and, weighted by test size, over bands.
+_AVERAGED = ("accuracy", "precision", "recall", "f1")
+
+
+def run_experiment(bands, labels, matrix: FeatureMatrix, cfg: RunConfig, header: dict,
+                   screened_by_band=None, jobs: int = 1) -> ExperimentReport:
     """Per-band 90/10 stratified holdout evaluation plus k-fold CV on the 90%.
 
     ``bands``/``labels`` align with matrix rows; None entries (dropped ratio,
     out-of-range goal) are excluded. Weighted totals use band test sizes.
+    ``screened_by_band`` (band -> feature names), if given, gates the columns.
     Every fit is planned first (notes included), then all fits run through
     one ``rf.parallel_map`` on up to ``jobs`` processes, then the rows are
     scored in plan order, so the report does not depend on ``jobs``.
@@ -323,19 +325,11 @@ def run_experiment(bands, labels, matrix: FeatureMatrix, cfg: ExperimentConfig,
     labels = list(labels)
     if len(bands) != len(matrix.ids) or len(labels) != len(matrix.ids):
         raise ShapeError("bands and labels must align with matrix rows")
+    forest = cfg.forest_config()
     notes: list = []
     tasks: list = []
     planned: list = []  # (band, setting, n_train, n_test, its tasks: holdout first, then CV folds)
-    band_names = ("B1", "B2", "B3", "B4")
-    for band in band_names:
-        idx = np.asarray(
-            [i for i, (b, lab) in enumerate(zip(bands, labels)) if b == band and lab is not None],
-            dtype=np.intp,
-        )
-        if idx.size < cfg.min_band_n:
-            notes.append(f"skipped band {band}: n={idx.size} < {cfg.min_band_n}")
-            continue
-        y_band = np.asarray([labels[i] for i in idx])
+    for band, idx, y_band in labeled_bands(bands, labels, cfg.min_band_n, notes):
         if np.unique(y_band).size < 2:
             notes.append(f"skipped band {band}: single class")
             continue
@@ -346,9 +340,7 @@ def run_experiment(bands, labels, matrix: FeatureMatrix, cfg: ExperimentConfig,
         test_rows = folds[0]
         train_rows = np.asarray(sorted(set(range(idx.size)) - set(test_rows.tolist())), dtype=np.intp)
         y_train = y_band[train_rows]
-        screened_names = None
-        if cfg.assembly == "screened" and screened_by_band is not None:
-            screened_names = screened_by_band.get(band, set())
+        screened_names = None if screened_by_band is None else screened_by_band.get(band, set())
         settings = cfg.settings if band in cfg.full_settings_bands else (Setting.BASIC,)
         for setting in settings:
             try:
@@ -357,7 +349,7 @@ def run_experiment(bands, labels, matrix: FeatureMatrix, cfg: ExperimentConfig,
                 notes.append(f"skipped {band}/{setting.value}: {exc}")
                 continue
             first = len(tasks)
-            tasks.append(_FitTask(sub, y_band, train_rows, test_rows, columns, cfg.forest,
+            tasks.append(_FitTask(sub, y_band, train_rows, test_rows, columns, forest,
                                   (cfg.seed, band, setting.value)))
             if cfg.cv_folds >= 2:
                 cv_folds, cv_note = stratified_kfold(
@@ -367,7 +359,7 @@ def run_experiment(bands, labels, matrix: FeatureMatrix, cfg: ExperimentConfig,
                 for fi, fold in enumerate(cv_folds):
                     tr = np.asarray(sorted(set(range(y_train.size)) - set(fold.tolist())), dtype=np.intp)
                     tasks.append(_FitTask(sub, y_band, train_rows[tr], train_rows[fold], columns,
-                                          cfg.forest, (cfg.seed, band, setting.value, "cv", fi)))
+                                          forest, (cfg.seed, band, setting.value, "cv", fi)))
             planned.append((band, setting, train_rows.size, test_rows.size, slice(first, len(tasks))))
 
     predictions = rf.parallel_map(_fit_predict, tasks, jobs)
@@ -377,8 +369,7 @@ def run_experiment(bands, labels, matrix: FeatureMatrix, cfg: ExperimentConfig,
                         for t, pred in zip(tasks[span], predictions[span])]
         cv_means = None
         if cv:
-            cv_means = {k: float(np.mean([getattr(m, k) for m in cv]))
-                        for k in ("accuracy", "precision", "recall", "f1")}
+            cv_means = {k: float(np.mean([getattr(m, k) for m in cv])) for k in _AVERAGED}
         rows.append(ReportRow(
             goal_band=band, setting=setting.value,
             n_train=int(n_train), n_test=int(n_test),
@@ -395,33 +386,13 @@ def run_experiment(bands, labels, matrix: FeatureMatrix, cfg: ExperimentConfig,
             continue
         weights = np.asarray([r.n_test for r in group], dtype=np.float64)
         weights = weights / weights.sum()
-
-        def wavg(get):
-            return float(sum(w * get(r.holdout) for w, r in zip(weights, group)))
-
-        total_metrics = Metrics(
-            accuracy=wavg(lambda m: m.accuracy),
-            precision=wavg(lambda m: m.precision),
-            recall=wavg(lambda m: m.recall),
-            f1=wavg(lambda m: m.f1),
-            per_class={}, support={},
-        )
+        averaged = {k: float(sum(w * getattr(r.holdout, k) for w, r in zip(weights, group)))
+                    for k in _AVERAGED}
         totals.append(ReportRow(
             goal_band="Total(Weighted)", setting=setting,
             n_train=int(sum(r.n_train for r in group)),
             n_test=int(sum(r.n_test for r in group)),
-            holdout=total_metrics,
+            holdout=Metrics(**averaged, per_class={}, support={}),
         ))
 
-    header = {
-        "seed": cfg.seed,
-        "config_fingerprint": cfg.fingerprint(),
-        "target": cfg.target,
-        "assembly": cfg.assembly,
-        "n_estimators": cfg.forest.n_estimators,
-        "min_samples_split": cfg.forest.min_samples_split,
-        "cv_folds": cfg.cv_folds,
-    }
-    if extra_header:
-        header.update(extra_header)
     return ExperimentReport(header=header, rows=rows, totals=totals, notes=notes)

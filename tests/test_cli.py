@@ -196,10 +196,15 @@ def test_config_file_and_flag_override(pipeline_dir, tmp_path, monkeypatch, caps
         ("--train-setting", "LateFusion", "train_setting must name a single-model setting"),
         ("--train-setting", "Bogus", "train_setting must name a single-model setting"),
         ("--settings", "Basic,Bogus", "bad value for settings"),
+        ("--seed", "-1", "seed must be >= 0"),
+        ("--cv-folds", "0", "cv_folds must be >= 1 (1 runs the holdout only)"),
+        ("--cv-folds", "-3", "cv_folds must be >= 1"),
     ]:
         for command in ("screen", "evaluate", "train"):
             assert main([command, "--config", "run.ini", f"{flag}={value}"]) == 2, (flag, value)
             assert problem in capsys.readouterr().err, (flag, value)
+    assert main(["synth", "--config", "run.ini", "--seed", "-1", "spec.json"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
     assert main(["ingest", "--config", "run.ini", "--max-depth", "0", "--alpha", "1"]) == 0
 
 

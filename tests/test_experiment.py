@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fundlens.cli import RunConfig
 from fundlens.errors import LabelError
 from fundlens.experiment import (
-    ExperimentConfig,
     LATE_FUSION_GROUPS,
     Setting,
     assemble,
@@ -209,14 +209,14 @@ def _separable_dataset(n=240, seed=0):
 
 def test_run_experiment_report_shape():
     bands, labels, matrix = _separable_dataset()
-    cfg = ExperimentConfig(
+    cfg = RunConfig(
         seed=5,
-        forest=ForestConfig(n_estimators=10, seed=0),
+        trees=10,
         settings=(Setting.BASIC, Setting.LIWC, Setting.EARLY_FUSION_ALL),
         cv_folds=2,
         min_band_n=30,
     )
-    report = run_experiment(bands, labels, matrix, cfg)
+    report = run_experiment(bands, labels, matrix, cfg, {})
     by_band = {}
     for row in report.rows:
         by_band.setdefault(row.goal_band, []).append(row.setting)
@@ -235,14 +235,14 @@ def test_run_experiment_report_shape():
 def test_run_experiment_basic_only_outside_full_bands():
     bands, labels, matrix = _separable_dataset(n=240, seed=2)
     bands = ["B3" if b == "B2" else b for b in bands]
-    cfg = ExperimentConfig(
+    cfg = RunConfig(
         seed=1,
-        forest=ForestConfig(n_estimators=5, seed=0),
+        trees=5,
         settings=(Setting.BASIC, Setting.LIWC),
-        cv_folds=0,
+        cv_folds=1,
         full_settings_bands=("B1",),
     )
-    report = run_experiment(bands, labels, matrix, cfg)
+    report = run_experiment(bands, labels, matrix, cfg, {})
     b3 = [r.setting for r in report.rows if r.goal_band == "B3"]
     assert b3 == ["Basic"]
 
@@ -250,37 +250,39 @@ def test_run_experiment_basic_only_outside_full_bands():
 def test_run_experiment_skips_small_bands():
     bands, labels, matrix = _separable_dataset(n=100, seed=3)
     bands = ["B1"] * 90 + ["B4"] * 10
-    cfg = ExperimentConfig(
-        seed=0, forest=ForestConfig(n_estimators=5, seed=0),
-        settings=(Setting.BASIC,), cv_folds=0, min_band_n=30,
+    cfg = RunConfig(
+        seed=0, trees=5,
+        settings=(Setting.BASIC,), cv_folds=1, min_band_n=30,
     )
-    report = run_experiment(bands, labels, matrix, cfg)
+    report = run_experiment(bands, labels, matrix, cfg, {})
     assert {r.goal_band for r in report.rows} == {"B1"}
     assert any("B4" in note for note in report.notes)
 
 
 def test_run_experiment_deterministic_outputs():
     bands, labels, matrix = _separable_dataset(n=200, seed=4)
-    cfg = ExperimentConfig(
-        seed=11, forest=ForestConfig(n_estimators=8, seed=0),
+    cfg = RunConfig(
+        seed=11, trees=8,
         settings=(Setting.BASIC, Setting.LATE_FUSION), cv_folds=2,
     )
     # LateFusion needs face columns; extend the matrix with one.
     matrix.names.append("num_faces")
     matrix.modalities.append("face")
     matrix.values = np.column_stack([matrix.values, np.zeros(len(matrix.ids)) + 1.0])
-    a = run_experiment(bands, labels, matrix, cfg)
-    b = run_experiment(bands, labels, matrix, cfg)
+    a = run_experiment(bands, labels, matrix, cfg, {})
+    b = run_experiment(bands, labels, matrix, cfg, {})
     assert a.to_csv_text() == b.to_csv_text()
     assert a.to_json_text() == b.to_json_text()
     assert "goal_band,setting" in a.to_csv_text().splitlines()[len(a.header)]
 
 
-def test_experiment_config_fingerprint_changes_with_seed():
-    a = ExperimentConfig(seed=1)
-    b = ExperimentConfig(seed=2)
+def test_run_config_fingerprint_changes_with_seed():
+    a = RunConfig(seed=1)
+    b = RunConfig(seed=2)
     assert a.fingerprint() != b.fingerprint()
-    assert a.fingerprint() == ExperimentConfig(seed=1).fingerprint()
+    assert a.fingerprint() == RunConfig(seed=1).fingerprint()
+    # Pinned: report.csv headers written by earlier versions keep their fingerprint.
+    assert a.fingerprint() == "50d193ff22f76477"
 
 
 def test_run_experiment_parallel_matches_serial():
@@ -289,12 +291,12 @@ def test_run_experiment_parallel_matches_serial():
     b2 = [i for i, b in enumerate(bands) if b == "B2"]
     labels = [(2 if i in b2[:4] else -2) if b == "B2" else lab
               for i, (b, lab) in enumerate(zip(bands, labels))]
-    cfg = ExperimentConfig(
-        seed=3, forest=ForestConfig(n_estimators=3, seed=0),
+    cfg = RunConfig(
+        seed=3, trees=3,
         settings=(Setting.BASIC, Setting.FACE, Setting.LIWC, Setting.LATE_FUSION), cv_folds=4,
     )
-    serial = run_experiment(bands, labels, matrix, cfg, jobs=1)
-    parallel = run_experiment(bands, labels, matrix, cfg, jobs=2)
+    serial = run_experiment(bands, labels, matrix, cfg, {}, jobs=1)
+    parallel = run_experiment(bands, labels, matrix, cfg, {}, jobs=2)
     assert parallel.to_csv_text() == serial.to_csv_text()
     assert parallel.to_json_text() == serial.to_json_text()
     # The matrix has no face columns, so Face is skipped in both bands.
