@@ -95,11 +95,9 @@ class FeatureMatrix:
         with Path(csv_path).open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["id", *self.names])
-            for i, cid in enumerate(self.ids):
-                row = [cid]
-                for v in self.values[i]:
-                    row.append("" if math.isnan(v) else f"{v:.10g}")
-                writer.writerow(row)
+            for cid, row in zip(self.ids, self.values):
+                # one row at a time: tolist() of the whole matrix raises peak RSS
+                writer.writerow([cid, *["" if math.isnan(v) else f"{v:.10g}" for v in row.tolist()]])
         meta = {"modalities": {n: m for n, m in zip(self.names, self.modalities)}, **provenance}
         Path(meta_path).write_text(json.dumps(meta, sort_keys=True, indent=1), encoding="utf-8")
         np.savez(npz_path, values=np.asarray(self.values, dtype=np.float64),
@@ -134,8 +132,9 @@ class FeatureMatrix:
 
 
 def _state_code(state: str) -> float:
+    """(A..Z, A..Z) -> 0..675; NaN for anything but two ASCII letters."""
     s = state.strip().upper()
-    if len(s) != 2 or not s.isalpha():
+    if len(s) != 2 or not (s.isascii() and s.isalpha()):
         return math.nan
     return float((ord(s[0]) - 65) * 26 + (ord(s[1]) - 65))
 
@@ -182,58 +181,43 @@ def build_feature_matrix(
         col(f"face_emotion_{k}", "face")
     col("face_missing", "face")
 
-    n, d = len(campaigns), len(names)
-    values = np.full((n, d), math.nan)
+    nan = math.nan
+    values = np.empty((len(campaigns), len(names)))
     ids = []
-    jdx = {name: j for j, name in enumerate(names)}
-
     for i, c in enumerate(campaigns):
         ids.append(c.id)
-        values[i, jdx["launch_year"]] = c.launch_date.year
-        values[i, jdx["launch_month"]] = c.launch_date.month
-        values[i, jdx["launch_dow"]] = c.launch_date.weekday()
-        values[i, jdx["state_code"]] = _state_code(c.state)
-        for label in registry.labels:
-            values[i, jdx[f"cat_{label}"]] = 1.0 if c.category == label else 0.0
+        # the row lists the columns in the order they are declared above
+        row = [c.launch_date.year, c.launch_date.month, c.launch_date.weekday(), _state_code(c.state)]
+        row += [1.0 if c.category == label else 0.0 for label in registry.labels]
 
-        if population_table is not None:
+        if population_table is None:
+            row += [nan, nan]
+        else:
             pop = population_table.lookup(c.city, c.state)
-            values[i, jdx["population_missing"]] = 0.0 if pop is not None else 1.0
-            if pop is not None:
-                values[i, jdx["city_population"]] = float(pop)
+            row += [nan, 1.0] if pop is None else [float(pop), 0.0]
 
         tf = extract(campaign_text(c.title, c.description), lexicon)
-        values[i, jdx["word_count"]] = tf.word_count
-        for cat, pct in tf.percentages.items():
-            values[i, jdx[f"liwc_{cat}"]] = pct
+        row.append(tf.word_count)
+        row += [tf.percentages[cat] for cat in lexicon.categories]
         if has_clout:
-            values[i, jdx["clout_surrogate"]] = clout_surrogate(tf)
+            row.append(clout_surrogate(tf))
 
+        q = None
         if c.cover_image is not None and quality_table is not None:
             q = quality_table.get(c.cover_image)
-            if q is not None:
-                values[i, jdx["aesthetic_score"]] = q.aesthetic_score
-                values[i, jdx["technical_score"]] = q.technical_score
-                values[i, jdx["image_quality_missing"]] = 0.0
-            else:
-                values[i, jdx["image_quality_missing"]] = 1.0
-        else:
-            values[i, jdx["image_quality_missing"]] = 1.0
+        row += [nan, nan, 1.0] if q is None else [q.aesthetic_score, q.technical_score, 0.0]
 
         if c.cover_image is not None and face_provider is not None:
-            faces = face_provider.analyze(c.cover_image)
-            agg = aggregate_face_features(faces)
-            values[i, jdx["face_missing"]] = 0.0
-            values[i, jdx["num_faces"]] = agg.num_faces
-            values[i, jdx["any_smile"]] = agg.any_smile
-            values[i, jdx["is_child"]] = agg.is_child
+            agg = aggregate_face_features(face_provider.analyze(c.cover_image))
+            row += [agg.num_faces, agg.any_smile, agg.is_child]
             if agg.num_faces > 0:
-                values[i, jdx["face_mean_age"]] = agg.mean_age
-                values[i, jdx["face_mean_beauty"]] = agg.mean_beauty
-                for k in EMOTION_KEYS:
-                    values[i, jdx[f"face_emotion_{k}"]] = agg.mean_emotion[k]
+                row += [agg.mean_age, agg.mean_beauty, *(agg.mean_emotion[k] for k in EMOTION_KEYS)]
+            else:
+                row += [nan] * (2 + len(EMOTION_KEYS))
+            row.append(0.0)
         else:
-            values[i, jdx["face_missing"]] = 1.0
+            row += [nan] * (5 + len(EMOTION_KEYS)) + [1.0]
+        values[i] = row
 
     return FeatureMatrix(ids=ids, names=names, modalities=modalities, values=values)
 

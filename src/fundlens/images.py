@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -96,8 +97,12 @@ def parse_face(obj: dict) -> FaceAttributes:
     )
 
 
+#: A face sidecar sits at <root>/<image_ref><SIDECAR_SUFFIX>.
+SIDECAR_SUFFIX = ".faces.json"
+
+
 def sidecar_path(root, image_ref: str) -> Path:
-    return Path(root) / f"{image_ref}.faces.json"
+    return Path(root) / f"{image_ref}{SIDECAR_SUFFIX}"
 
 
 def write_sidecar(root, image_ref: str, faces) -> Path:
@@ -123,16 +128,20 @@ class StubFaceProvider:
     tag = "stub-sidecar"
 
     def __init__(self, root):
-        self.root = Path(root)
+        self.root = os.fspath(root)
 
     def analyze(self, image_ref: str):
-        path = sidecar_path(self.root, image_ref)
-        if not path.is_file():
-            return []
+        """The sidecar's faces; [] when it is missing or its path names a directory."""
+        path = os.path.join(self.root, f"{image_ref}{SIDECAR_SUFFIX}")
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"malformed sidecar {path}: {exc}") from exc
+            fh = open(path, encoding="utf-8")
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            return []
+        with fh:
+            try:
+                payload = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"malformed sidecar {path}: {exc}") from exc
         if not isinstance(payload, list):
             raise SchemaError(f"sidecar {path} must hold a JSON array")
         return [parse_face(obj) for obj in payload]

@@ -41,16 +41,19 @@ class Lexicon:
     categories: list
     entries: list
     _exact: dict = field(default_factory=dict, repr=False)
+    # (k, {prefix of length k: categories}) for each wildcard length k, ascending
     _prefixes: list = field(default_factory=list, repr=False)
-    _cache: dict = field(default_factory=dict, repr=False)
+    # extract's per-word cache: whitespace-free word -> its token count, and
+    # -> its ((category, hits), ...) pairs for words that hit a category
+    _word_tokens: dict = field(default_factory=dict, repr=False)
+    _word_hits: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        by_length: dict = {}
         for entry in self.entries:
-            if entry.wildcard:
-                self._prefixes.append((entry.pattern, entry.categories))
-            else:
-                prev = self._exact.get(entry.pattern, frozenset())
-                self._exact[entry.pattern] = prev | entry.categories
+            table = by_length.setdefault(len(entry.pattern), {}) if entry.wildcard else self._exact
+            table[entry.pattern] = table.get(entry.pattern, frozenset()) | entry.categories
+        self._prefixes = sorted(by_length.items())
 
     def category_index(self, name: str) -> Optional[int]:
         try:
@@ -60,15 +63,23 @@ class Lexicon:
 
     def match(self, token: str) -> frozenset:
         """Category indices the token counts toward."""
-        hit = self._cache.get(token)
-        if hit is not None:
-            return hit
         cats = self._exact.get(token, frozenset())
-        for prefix, idxs in self._prefixes:
-            if token.startswith(prefix):
+        for k, table in self._prefixes:
+            idxs = table.get(token[:k])
+            if idxs is not None:
                 cats = cats | idxs
-        self._cache[token] = cats
         return cats
+
+    def _cache_word(self, word: str) -> None:
+        """Tokenize and match one whitespace-free word into extract's cache."""
+        tokens = _TOKEN.findall(word)
+        hits: dict = {}
+        for token in tokens:
+            for ci in self.match(token):
+                hits[ci] = hits.get(ci, 0) + 1
+        self._word_tokens[word] = len(tokens)
+        if hits:
+            self._word_hits[word] = tuple(hits.items())
 
 
 def load_lexicon(path=None) -> Lexicon:
@@ -145,14 +156,19 @@ def extract(text: str, lexicon: Lexicon) -> TextFeatures:
     """Per-category percentages of matching tokens.
 
     A token counting toward k categories adds one hit to each. Empty text
-    yields word_count 0 and all-zero percentages.
+    yields word_count 0 and all-zero percentages. Every whitespace character
+    is ``\\W``, so no token spans one: the text is split on whitespace and
+    each distinct word is tokenized and matched once per lexicon.
     """
-    tokens = tokenize(text)
-    n = len(tokens)
+    words = text.lower().split()
+    word_tokens, word_hits = lexicon._word_tokens, lexicon._word_hits
+    for word in set(words).difference(word_tokens):
+        lexicon._cache_word(word)
+    n = sum(map(word_tokens.__getitem__, words))
     hits = [0] * len(lexicon.categories)
-    for token in tokens:
-        for ci in lexicon.match(token):
-            hits[ci] += 1
+    for word in filter(word_hits.__contains__, words):
+        for ci, h in word_hits[word]:
+            hits[ci] += h
     if n == 0:
         percentages = {name: 0.0 for name in lexicon.categories}
     else:

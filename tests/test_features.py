@@ -8,6 +8,7 @@ from fundlens.core import Campaign
 from fundlens.errors import EmptySetting, SchemaError
 from fundlens.features import (
     FeatureMatrix,
+    _state_code,
     apply_imputation,
     build_feature_matrix,
     impute_with_indicators,
@@ -87,6 +88,31 @@ def test_matrix_save_load_roundtrip(tmp_path):
     assert save("g") == first
     with pytest.raises(SchemaError, match="another dataset file; rerun featurize"):
         FeatureMatrix.load(tmp_path / "f.npz", "sha-of-another-dataset")
+
+
+def test_save_writes_the_per_value_csv_formatting(tmp_path):
+    extremes = [np.nan, 0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1 + 0.2,
+                3.0, -7.0, 1e16, 123456789012.0, 2.5e-7]
+    m = FeatureMatrix(ids=["a", "b"], names=[f"x{j}" for j in range(len(extremes))],
+                      modalities=["basic"] * len(extremes),
+                      values=np.array([extremes, extremes[::-1]]))
+    labels = {"goal_band": [None, None], "ratio": [1.0, 1.0], "class_two": [None, None],
+              "class_four": [None, None]}
+    m.save(tmp_path / "f.csv", tmp_path / "f.json", tmp_path / "f.npz", labels, {}, "sha")
+    expected = "id," + ",".join(m.names) + "\n"
+    for cid, row in zip(m.ids, m.values):
+        expected += ",".join([cid, *("" if np.isnan(v) else f"{np.float64(v):.10g}" for v in row)]) + "\n"
+    assert (tmp_path / "f.csv").read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("state, code", [
+    ("AA", 0.0), ("ZZ", 675.0), ("IL", 8 * 26 + 11), (" il ", 8 * 26 + 11),
+    ("ÉÉ", None), ("Ωα", None), ("ǅX", None), ("A1", None), ("I", None), ("ILL", None), ("", None),
+])
+def test_state_code_maps_two_ascii_letters_only(state, code):
+    got = _state_code(state)
+    assert np.isnan(got) if code is None else got == code
+    assert np.isnan(got) or 0.0 <= got <= 675.0
 
 
 def test_build_feature_matrix_columns(registry, lexicon, tmp_path):

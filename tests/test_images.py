@@ -116,6 +116,22 @@ def test_stub_provider_reads_sidecars(tmp_path):
     assert sidecar_path(tmp_path, "imgs/pic.ppm").exists()
 
 
+def test_stub_provider_skips_paths_that_hold_no_sidecar_file(tmp_path):
+    provider = StubFaceProvider(tmp_path)
+    sidecar_path(tmp_path, "dir.ppm").mkdir()                # a directory at the sidecar path
+    (tmp_path / "plain.txt").write_text("not a directory")   # a regular file as a parent
+    assert provider.analyze("dir.ppm") == []
+    assert provider.analyze("plain.txt/pic.ppm") == []
+    assert provider.analyze("missing/pic.ppm") == []
+
+
+@pytest.mark.parametrize("body", ["{not json", '{"faces": []}', '[{"gender": "robot"}]'])
+def test_stub_provider_rejects_malformed_sidecars(tmp_path, body):
+    sidecar_path(tmp_path, "pic.ppm").write_text(body, encoding="utf-8")
+    with pytest.raises(SchemaError):
+        StubFaceProvider(tmp_path).analyze("pic.ppm")
+
+
 # ---------------------------------------------------------------------------
 # precomputed quality scores
 # ---------------------------------------------------------------------------

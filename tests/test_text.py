@@ -1,5 +1,8 @@
+import re
+import sys
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fundlens.errors import SchemaError, SurrogateUnavailable
 from fundlens.text import (
@@ -134,3 +137,84 @@ def test_duplicating_text_preserves_percentages(lexicon):
     assert b.word_count == 2 * a.word_count
     for k in a.percentages:
         assert b.percentages[k] == pytest.approx(a.percentages[k], abs=1e-12)
+
+
+def _linear_match(entries, token):
+    """The reference for Lexicon.match: scan every entry."""
+    cats = frozenset()
+    for e in entries:
+        if token.startswith(e.pattern) if e.wildcard else token == e.pattern:
+            cats = cats | e.categories
+    return cats
+
+
+_NESTED = [
+    LexiconEntry("a", True, frozenset({0})),
+    LexiconEntry("ab", True, frozenset({1})),
+    LexiconEntry("ab", False, frozenset({2})),      # "ab" is exact and a wildcard
+    LexiconEntry("ab", True, frozenset({3})),       # a second "ab*" entry adds to the first
+    LexiconEntry("abc", False, frozenset({3})),
+    LexiconEntry("abcdef", True, frozenset({0, 3})),
+    LexiconEntry("b", False, frozenset({1})),
+]
+
+
+def test_match_prefix_table_on_nested_wildcards():
+    lex = Lexicon(categories=["w", "x", "y", "z"], entries=_NESTED)
+    assert lex.match("a") == {0}
+    assert lex.match("ab") == {0, 1, 2, 3}
+    assert lex.match("abcde") == {0, 1, 3}            # shorter than the "abcdef" prefix
+    assert lex.match("abcdefg") == {0, 1, 3}
+    assert lex.match("ba") == frozenset()
+    for token in ("", "a", "ab", "abc", "abcd", "abcdef", "abcdefgh", "b", "ba", "bab", "x"):
+        assert lex.match(token) == _linear_match(_NESTED, token), token
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(alphabet="abcdef'", max_size=9), max_size=20))
+def test_match_prefix_table_equals_linear_scan(tokens):
+    nested = Lexicon(categories=["w", "x", "y", "z"], entries=_NESTED)
+    demo = load_lexicon()
+    for token in tokens:
+        assert nested.match(token) == _linear_match(_NESTED, token)
+        for word in (token, "think" + token, "we" + token):
+            assert demo.match(word) == _linear_match(demo.entries, word)
+
+
+#: Every character str.split() splits on; each is \W, so no token spans one.
+_WHITESPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+
+
+def test_no_token_spans_whitespace():
+    assert [c for c in _WHITESPACE if re.match(r"[\w']", c)] == []
+
+
+def _reference_counts(text, lexicon):
+    """word_count and percentages counted token by token, as the definition reads."""
+    tokens = tokenize(text)
+    hits = [0] * len(lexicon.categories)
+    for token in tokens:
+        for ci in lexicon.match(token):
+            hits[ci] += 1
+    return len(tokens), [(100.0 * h / len(tokens) if tokens else 0.0).hex() for h in hits]
+
+
+_PIECES = st.one_of(
+    st.sampled_from(["we", "We", "think", "thinking", "i'm", "don't", "you", "our", "money", "i"]),
+    st.text(alphabet="aiwzÉéΩαßİǅ09_'", min_size=1, max_size=8),
+    st.text(alphabet=_WHITESPACE, min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PIECES, max_size=40).map("".join))
+@example("'we' we''re ''i İstanbul\x1cthink　x_y\x85our'\xa0WE")
+@example("")
+def test_cached_extract_equals_token_by_token_counts(text):
+    lexicon = load_lexicon()
+    n, pcts = _reference_counts(text, lexicon)
+    for _ in range(2):  # a cold cache, then a warm one
+        feats = extract(text, lexicon)
+        assert feats.word_count == n
+        assert [p.hex() for p in feats.percentages.values()] == pcts
+        assert list(feats.percentages) == lexicon.categories
