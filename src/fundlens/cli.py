@@ -34,7 +34,7 @@ from .core import (
     assign_goal_band,
     assign_success_class,
 )
-from .errors import ConfigError, DataError, FundlensError, SchemaError
+from .errors import ConfigError, DataError, FundlensError, SchemaError, utf8_input
 from .experiment import Setting, assemble, labeled_bands, run_experiment
 from .features import (LABEL_KEYS, FeatureMatrix, apply_imputation, build_feature_matrix,
                        impute_with_indicators)
@@ -133,7 +133,7 @@ def _read_ini(path: str) -> dict:
                 if key in raw:
                     raise ConfigError(f"config key {key!r} is set in more than one section of {p}")
                 raw[key] = value
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {p}: {exc}") from None
     return raw
 
@@ -252,7 +252,7 @@ def _load_dataset(path: Path, parse):
     """``parse`` of every record of the dataset file cmd_ingest wrote, and its label columns."""
     records = []
     labels = {k: [] for k in LABEL_KEYS}
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with Path(path).open("r", encoding="utf-8") as fh, utf8_input(path):
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:

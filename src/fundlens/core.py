@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .errors import InvalidAmount, InvalidGoal, InvalidRatio, SchemaError
+from .errors import InvalidAmount, InvalidGoal, InvalidRatio, SchemaError, utf8_input
 
 #: Drop campaigns whose raised/goal ratio exceeds this.
 MAX_RATIO = 2.5
@@ -117,7 +117,8 @@ class CategoryRegistry:
 
     @classmethod
     def load(cls, path) -> "CategoryRegistry":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        with utf8_input(path):
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
         labels = [ln.strip() for ln in lines if ln.strip()]
         if not labels:
             raise SchemaError(f"empty category registry: {path}")

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+from contextlib import contextmanager
+
 
 class FundlensError(Exception):
     """Base class for all package errors."""
@@ -88,3 +90,11 @@ class DegenerateNode(FundlensError):
 class SurrogateUnavailable(FundlensError):
     """Lexicon lacks the categories the surrogate summary variable needs."""
 
+
+@contextmanager
+def utf8_input(path):
+    """Raise a UnicodeDecodeError met while reading ``path`` as a ParseError."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .errors import ParseError, RangeError, SchemaError
+from .errors import ParseError, RangeError, SchemaError, utf8_input
 
 EMOTION_KEYS = ("anger", "disgust", "fear", "happiness", "neutral", "sadness", "surprise")
 
@@ -140,7 +140,7 @@ class StubFaceProvider:
         with fh:
             try:
                 payload = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
                 raise SchemaError(f"malformed sidecar {path}: {exc}") from exc
         if not isinstance(payload, list):
             raise SchemaError(f"sidecar {path} must hold a JSON array")
@@ -166,7 +166,7 @@ def load_precomputed_quality(path) -> dict:
     """image_ref -> ImageQuality from a CSV so real model scores can be injected."""
     path = Path(path)
     table: dict = {}
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding="utf-8", newline="") as fh, utf8_input(path):
         reader = csv.DictReader(fh)
         cols = set(reader.fieldnames or [])
         for col in ("image_ref", "aesthetic", "technical"):

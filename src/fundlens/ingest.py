@@ -10,13 +10,13 @@ import csv
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import date
 from pathlib import Path
 from typing import Optional
 
 from .core import Campaign, CategoryRegistry, MAX_GOAL, MAX_RATIO
-from .errors import DataError, EmptyDataset, ParseError, SchemaError
+from .errors import DataError, EmptyDataset, ParseError, SchemaError, utf8_input
 
 _REQUIRED_KEYS = (
     "id", "launch_date", "city", "state", "country", "title", "description",
@@ -42,15 +42,7 @@ class IngestReport:
         self.reasons[reason] = self.reasons.get(reason, 0) + 1
 
     def as_dict(self) -> dict:
-        return {
-            "total_records": self.total_records,
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "reasons": dict(sorted(self.reasons.items())),
-            "dropped_ratio_gt_2_5": self.dropped_ratio_gt_2_5,
-            "out_of_band": self.out_of_band,
-            "non_us": self.non_us,
-        }
+        return asdict(self)
 
 
 def _parse_record(obj: dict, registry: CategoryRegistry) -> Campaign:
@@ -107,17 +99,23 @@ def load_campaigns(path, registry: Optional[CategoryRegistry] = None):
         raise OSError(f"cannot read campaign snapshot: {path}")
     report = IngestReport()
     campaigns = []
-    with path.open("r", encoding="utf-8") as fh:
+    # A byte that is not UTF-8 reads as a lone surrogate, so that only its line is rejected.
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             report.total_records += 1
             try:
+                if not line.isascii():
+                    line.encode("utf-8")  # UnicodeEncodeError on a lone surrogate
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise ParseError("not_an_object")
                 campaign = _parse_record(obj, registry)
+            except UnicodeEncodeError:
+                report.reject("bad_utf8")
+                continue
             except json.JSONDecodeError:
                 report.reject("bad_json")
                 continue
@@ -167,7 +165,7 @@ def load_population_table(path) -> PopulationTable:
     """
     path = Path(path)
     entries: dict = {}
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding="utf-8", newline="") as fh, utf8_input(path):
         reader = csv.DictReader(fh)
         cols = set(reader.fieldnames or [])
         for col in ("city", "state", "population"):

@@ -12,9 +12,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, asdict
+import sys
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import date, timedelta
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -34,6 +36,10 @@ _FEATURE_MAPS = {
     ("population", "city_population"): (11.0, 1.0, 6.0, 16.0),  # log scale
 }
 _TEXT_LOC, _TEXT_SCALE = 10.0, 3.0  # planted word-category percent = 10 + 3z
+
+#: How a spec error names the declared type of a Cell, PlantedEffect or Interaction
+#: field. A number is never a bool, and a float may be an int but must be finite.
+_KINDS = {str: "a string", int: "an integer", float: "a finite number"}
 
 
 @dataclass(frozen=True)
@@ -74,26 +80,51 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SynthSpec":
+        """The spec of a JSON object; each optional scalar key is converted by its
+        field's type. An unknown key or a value that will not convert is a SpecError."""
+        if not isinstance(payload, dict):
+            raise SpecError("synthetic spec must be a JSON object")
+        unknown = set(payload) - {f.name for f in fields(cls)}
+        if unknown:
+            raise SpecError(f"unknown synthetic spec keys: {sorted(unknown)}")
+        types = get_type_hints(cls)
         try:
-            cells = [Cell(**c) for c in payload["cells"]]
-            effects = [PlantedEffect(**e) for e in payload.get("effects", [])]
-            interactions = [Interaction(**i) for i in payload.get("interactions", [])]
-        except (KeyError, TypeError) as exc:
+            return cls(
+                cells=[Cell(**c) for c in payload["cells"]],
+                effects=[PlantedEffect(**e) for e in payload.get("effects", [])],
+                interactions=[Interaction(**i) for i in payload.get("interactions", [])],
+                **{f.name: types[f.name](payload[f.name]) for f in fields(cls)
+                   if f.default is not MISSING and f.name in payload},
+            )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SpecError(f"malformed synthetic spec: {exc}") from exc
-        return cls(
-            cells=cells, effects=effects, interactions=interactions,
-            base_ratio=float(payload.get("base_ratio", 1.1)),
-            noise_sigma=float(payload.get("noise_sigma", 0.35)),
-            words_per_description=int(payload.get("words_per_description", 120)),
-            missing_city_rate=float(payload.get("missing_city_rate", 0.05)),
-            background_poisson=float(payload.get("background_poisson", 2.0)),
-        )
 
     @classmethod
     def from_file(cls, path) -> "SynthSpec":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise SpecError(f"synthetic spec {path} is not UTF-8 JSON: {exc}") from None
+        return cls.from_dict(payload)
+
+    def interaction_keys(self) -> set:
+        """The (modality, feature) keys the interactions read."""
+        return {key for i in self.interactions
+                for key in ((i.a_modality, i.a_feature), (i.b_modality, i.b_feature))}
+
+    def planted_keys(self) -> list:
+        """The sorted (modality, feature) keys of the effects and interactions."""
+        return sorted({(e.modality, e.feature) for e in self.effects} | self.interaction_keys())
 
     def validate(self, registry: CategoryRegistry, lexicon: Lexicon) -> None:
+        for record in [*self.cells, *self.effects, *self.interactions]:
+            for name, kind in get_type_hints(type(record)).items():
+                value = getattr(record, name)
+                accepted = (int, float) if kind is float else kind
+                if (isinstance(value, bool) or not isinstance(value, accepted)
+                        or kind is float and not abs(value) <= sys.float_info.max):
+                    raise SpecError(f"{type(record).__name__}.{name} must be {_KINDS[kind]}, "
+                                    f"got {value!r}")
         band_names = {b.name for b in GoalBand}
         for cell in self.cells:
             if cell.band not in band_names:
@@ -102,14 +133,12 @@ class SynthSpec:
                 raise SpecError(f"unknown category {cell.category!r}")
             if cell.n <= 0:
                 raise SpecError(f"cell size must be positive, got {cell.n}")
-        for eff in list(self.effects) + [
-            PlantedEffect(i.a_feature, i.a_modality, 0.0) for i in self.interactions
-        ] + [PlantedEffect(i.b_feature, i.b_modality, 0.0) for i in self.interactions]:
-            if eff.modality == "text":
-                if eff.feature not in lexicon.categories:
-                    raise SpecError(f"planted text feature {eff.feature!r} not a lexicon category")
-            elif (eff.modality, eff.feature) not in _FEATURE_MAPS:
-                raise SpecError(f"unsupported planted feature {eff.modality}/{eff.feature}")
+        for modality, feature in self.planted_keys():
+            if modality == "text":
+                if feature not in lexicon.categories:
+                    raise SpecError(f"planted text feature {feature!r} not a lexicon category")
+            elif (modality, feature) not in _FEATURE_MAPS:
+                raise SpecError(f"unsupported planted feature {modality}/{feature}")
         if self.noise_sigma < 0 or self.words_per_description < 10:
             raise SpecError("noise_sigma must be >= 0 and words_per_description >= 10")
 
@@ -158,19 +187,10 @@ def generate_dataset(spec: SynthSpec, seed: int, lexicon: Lexicon,
     spec.validate(registry, lexicon)
     rng = np.random.default_rng(seed)
 
-    planted_text = [e for e in spec.effects if e.modality == "text"]
-    interaction_feats = {(i.a_modality, i.a_feature) for i in spec.interactions} | {
-        (i.b_modality, i.b_feature) for i in spec.interactions
-    }
-    latent_names = sorted({(e.modality, e.feature) for e in spec.effects}
-                          | {(i.a_modality, i.a_feature) for i in spec.interactions}
-                          | {(i.b_modality, i.b_feature) for i in spec.interactions})
-    word_pool = {e.feature: _exclusive_words(lexicon, e.feature)
-                 for e in planted_text}
-    for inter in spec.interactions:
-        for feat, mod in ((inter.a_feature, inter.a_modality), (inter.b_feature, inter.b_modality)):
-            if mod == "text" and feat not in word_pool:
-                word_pool[feat] = _exclusive_words(lexicon, feat)
+    latent_names = spec.planted_keys()
+    interaction_feats = spec.interaction_keys()
+    word_pool = {feat: _exclusive_words(lexicon, feat) for mod, feat in latent_names
+                 if mod == "text"}
 
     background_cats = [c for c in lexicon.categories if c not in word_pool]
     background_words = {c: _exclusive_words(lexicon, c) for c in background_cats}
@@ -196,19 +216,16 @@ def generate_dataset(spec: SynthSpec, seed: int, lexicon: Lexicon,
             # separated clusters per feature, so the planted XOR is learnable
             # by the forest while each marginal stays uninformative;
             # linear-effect latents stay standard normal.
-            z = {
-                key: (
-                    float(rng.choice([-1.0, 1.0]) + rng.normal(0.0, 0.25))
-                    if key in interaction_feats
-                    else float(rng.standard_normal())
-                )
-                for key in latent_names
-            }
+            z = {key: float(rng.choice([-1.0, 1.0]) + rng.normal(0.0, 0.25))
+                 if key in interaction_feats else float(rng.standard_normal())
+                 for key in latent_names}
 
-            # Realize observables, tracking the effective standardized value
-            # actually recoverable from the files (quantization included).
+            # Realize each latent once. The ratio reads z_hat, the standardized
+            # observable: text enters as the whole-word count the description
+            # holds; num_faces and city_population enter unrounded.
             z_hat = {}
             word_counts = {}
+            observed = {}  # non-text feature -> its realized value
             for (mod, feat) in latent_names:
                 if mod == "text":
                     v = float(np.clip(_TEXT_LOC + _TEXT_SCALE * z[(mod, feat)], 0.0, 40.0))
@@ -217,8 +234,8 @@ def generate_dataset(spec: SynthSpec, seed: int, lexicon: Lexicon,
                     z_hat[(mod, feat)] = (100.0 * cnt / L - _TEXT_LOC) / _TEXT_SCALE
                 else:
                     loc, scale, lo, hi = _FEATURE_MAPS[(mod, feat)]
-                    v = float(np.clip(loc + scale * z[(mod, feat)], lo, hi))
-                    z_hat[(mod, feat)] = (v - loc) / scale
+                    observed[feat] = float(np.clip(loc + scale * z[(mod, feat)], lo, hi))
+                    z_hat[(mod, feat)] = (observed[feat] - loc) / scale
 
             ratio = spec.base_ratio + float(rng.normal(0.0, spec.noise_sigma))
             for eff in spec.effects:
@@ -246,43 +263,28 @@ def generate_dataset(spec: SynthSpec, seed: int, lexicon: Lexicon,
             title = f"zt{cid} zfiller"
             description = " ".join(tokens)
 
-            # Image quality scores (precomputed table route).
+            # Image quality scores (precomputed table route); unplanted ones are drawn.
             ref = f"images/img_{ident}.ppm"
-            if ("image_quality", "aesthetic") in z_hat:
-                loc, scale, lo, hi = _FEATURE_MAPS[("image_quality", "aesthetic")]
-                aesthetic = float(np.clip(loc + scale * z[("image_quality", "aesthetic")], lo, hi))
-            else:
-                aesthetic = float(np.clip(rng.normal(5.0, 0.8), 1.0, 10.0))
-            if ("image_quality", "technical") in z_hat:
-                loc, scale, lo, hi = _FEATURE_MAPS[("image_quality", "technical")]
-                technical = float(np.clip(loc + scale * z[("image_quality", "technical")], lo, hi))
-            else:
-                technical = float(np.clip(rng.normal(5.0, 0.8), 1.0, 10.0))
+            aesthetic, technical = (
+                observed[feat] if feat in observed else float(np.clip(rng.normal(5.0, 0.8), 1.0, 10.0))
+                for feat in ("aesthetic", "technical"))
             quality_rows.append((ref, aesthetic, technical))
 
-            # Faces.
-            if ("face", "num_faces") in z_hat:
-                loc, scale, lo, hi = _FEATURE_MAPS[("face", "num_faces")]
-                num_faces = int(np.clip(round(loc + scale * z[("face", "num_faces")]), lo, hi))
-                z_hat[("face", "num_faces")] = (num_faces - loc) / scale
-            else:
-                num_faces = int(rng.poisson(1.2))
-            if ("face", "age") in z_hat:
-                loc, scale, lo, hi = _FEATURE_MAPS[("face", "age")]
-                mean_age = float(np.clip(loc + scale * z[("face", "age")], lo, hi))
-                if num_faces == 0:
-                    num_faces = 1
+            # Faces; a planted age needs at least one face.
+            num_faces = (int(round(observed["num_faces"])) if "num_faces" in observed
+                         else int(rng.poisson(1.2)))
+            if "age" in observed:
+                mean_age = observed["age"]
+                num_faces = max(num_faces, 1)
             else:
                 mean_age = float(rng.uniform(5, 70))
             faces_by_ref[ref] = _make_faces(rng, num_faces, mean_age)
 
             # Location / population.
-            if ("population", "city_population") in z_hat:
-                logpop = float(np.clip(11.0 + z[("population", "city_population")], 6.0, 16.0))
-                pop = max(1, int(round(math.exp(logpop))))
+            if "city_population" in observed:
+                pop = max(1, int(round(math.exp(observed["city_population"]))))
                 city, state = f"plantcity {ident}", _STATES[cid % len(_STATES)]
                 census_rows.append((city, state, pop))
-                z_hat[("population", "city_population")] = math.log(pop) - 11.0
             elif rng.random() < spec.missing_city_rate:
                 city, state = f"ghosttown {ident}", _STATES[cid % len(_STATES)]
             else:
@@ -308,16 +310,7 @@ def generate_dataset(spec: SynthSpec, seed: int, lexicon: Lexicon,
 
     manifest = {
         "seed": seed,
-        "spec": {
-            "cells": [asdict(c) for c in spec.cells],
-            "effects": [asdict(e) for e in spec.effects],
-            "interactions": [asdict(i) for i in spec.interactions],
-            "base_ratio": spec.base_ratio,
-            "noise_sigma": spec.noise_sigma,
-            "words_per_description": spec.words_per_description,
-            "missing_city_rate": spec.missing_city_rate,
-            "background_poisson": spec.background_poisson,
-        },
+        "spec": asdict(spec),
         "n_campaigns": len(campaigns),
         "expected_signs": {f"{e.modality}/{e.feature}": (1 if e.slope > 0 else -1)
                            for e in spec.effects if e.slope != 0},

@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .errors import SchemaError, SurrogateUnavailable
+from .errors import SchemaError, SurrogateUnavailable, utf8_input
 
 # Tokens are runs of letters/digits, with internal apostrophes kept ("don't").
 _TOKEN = re.compile(r"[^\W_]+(?:'[^\W_]+)*", re.UNICODE)
@@ -92,7 +92,8 @@ def load_lexicon(path=None) -> Lexicon:
     if path is None:
         raw = resources.files("fundlens.data").joinpath("demo_lexicon.dic").read_text("utf-8")
     else:
-        raw = Path(path).read_text(encoding="utf-8")
+        with utf8_input(path):
+            raw = Path(path).read_text(encoding="utf-8")
     lines = raw.splitlines()
     delims = [i for i, ln in enumerate(lines) if ln.strip() == "%"]
     if len(delims) < 2:

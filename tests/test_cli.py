@@ -216,6 +216,13 @@ def test_missing_seed_is_config_error(pipeline_dir, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_bytes(b"[run]\nseed = 1\nout = caf\xe9\n")
+    assert main(["report", "--config", str(ini)]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot parse")
+
+
 def test_missing_input_file_exits_2(tmp_path):
     rc = main(["ingest", "--seed", "1", "--out", str(tmp_path / "o"),
                "--campaigns", str(tmp_path / "nope.jsonl")])
@@ -262,6 +269,67 @@ def test_bad_spec_exits_3(tmp_path):
     spec.write_text(json.dumps({"cells": [{"band": "B7", "category": "Other", "n": 5}]}))
     rc = main(["synth", "--seed", "1", "--out", str(tmp_path / "o"), str(spec)])
     assert rc == 3
+
+
+def _spec_bytes(**changes) -> bytes:
+    return json.dumps({**SPEC, **changes}).encode()
+
+
+@pytest.mark.parametrize("blob", [
+    b'{"cells": [',
+    _spec_bytes().replace(b"Other", b"Oth\xffer"),
+    _spec_bytes(noise_sigma="abc"),
+    _spec_bytes(noise_sigma=None),
+    _spec_bytes(noise_sigm=0.1),
+    _spec_bytes(cells=[{"band": "B1", "category": "Other", "n": "5"}]),
+    _spec_bytes(effects=[{"feature": "insight", "modality": "text", "slope": "x"}]),
+    _spec_bytes(interactions=[{"a_feature": "insight", "a_modality": "text", "b_feature": "age",
+                               "b_modality": "face", "magnitude": float("inf")}]),
+    b"[]",
+], ids=["invalid-json", "not-utf8", "str-scalar", "null-scalar", "unknown-key", "str-n",
+        "str-slope", "infinite-magnitude", "not-an-object"])
+def test_malformed_spec_exits_3(tmp_path, capsys, blob):
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(blob)
+    rc = main(["synth", "--seed", "1", "--out", str(tmp_path / "o"), str(spec)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("data error: ")
+    assert not (tmp_path / "o").exists()
+
+
+_DEMO_LEXICON = Path(features.__file__).parent / "data" / "demo_lexicon.dic"
+
+
+@pytest.mark.parametrize("command, source, flag", [
+    ("ingest", "data/campaigns.jsonl", "--campaigns"),
+    ("report", "out/dataset.jsonl", None),
+    ("featurize", "data/census.csv", "--census"),
+    ("featurize", "lexicon.dic", "--lexicon"),
+    ("featurize", "data/images/img_c000001.ppm.faces.json", "--sidecar-root"),
+], ids=["snapshot", "dataset", "census", "lexicon", "sidecar"])
+def test_non_utf8_input(pipeline_dir, tmp_path, capsys, command, source, flag):
+    # ingest rejects the snapshot line under its own reason code; any other
+    # input that is not UTF-8 is a data error.
+    root, out, base = pipeline_dir
+    work = tmp_path / "o"
+    work.mkdir()
+    if command != "ingest":
+        shutil.copy(out / "dataset.jsonl", work / "dataset.jsonl")
+    src = _DEMO_LEXICON if flag == "--lexicon" else root / source
+    bad = work / "dataset.jsonl" if flag is None else tmp_path / source
+    bad.parent.mkdir(parents=True, exist_ok=True)
+    blob = src.read_bytes()
+    bad.write_bytes(blob[:1] + b"\xff" + blob[1:])  # 0xff starts no UTF-8 sequence
+    value = tmp_path / "data" if flag == "--sidecar-root" else bad
+    rc = main([command, *base, "--out", str(work), *([flag, str(value)] if flag else [])])
+    err = capsys.readouterr().err
+    if command == "ingest":
+        assert rc == 0
+        report = json.loads((work / "ingest_report.json").read_text())
+        assert (report["accepted"], report["reasons"]) == (219, {"bad_utf8": 1})
+    else:
+        assert rc == 3
+        assert err.startswith("data error: ") and "can't decode byte 0xff" in err
 
 
 def test_non_numeric_quality_score_exits_3(pipeline_dir, tmp_path, capsys):

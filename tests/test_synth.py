@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -55,6 +56,83 @@ def test_spec_validation_errors(registry, lexicon):
         _spec(effects=[PlantedEffect("blur", "image_quality", 0.1)]).validate(registry, lexicon)
     with pytest.raises(SpecError):
         SynthSpec.from_dict({"cells": [{"band": "B1"}]})
+
+
+def test_spec_scalars_convert_by_field_type():
+    spec = SynthSpec.from_dict({"cells": [{"band": "B1", "category": "Other", "n": 10}],
+                                "words_per_description": "40", "noise_sigma": 1, "base_ratio": "1.5"})
+    assert (spec.words_per_description, spec.noise_sigma, spec.base_ratio) == (40, 1.0, 1.5)
+    assert type(spec.noise_sigma) is float
+    assert (spec.missing_city_rate, spec.background_poisson) == (0.05, 2.0)
+    with pytest.raises(SpecError, match="noise_sigm"):
+        SynthSpec.from_dict({"cells": [], "noise_sigm": 0.1})
+
+
+@pytest.mark.parametrize("change", [
+    {"cells": [Cell("B1", "Other", 5.0)]},
+    {"cells": [Cell("B1", "Other", True)]},
+    {"cells": [Cell(1, "Other", 5)]},
+    {"effects": [PlantedEffect("insight", "text", float("nan"))]},
+    {"effects": [PlantedEffect("insight", "text", 10 ** 400)]},
+    {"effects": [PlantedEffect("insight", "text", None)]},
+    {"effects": [PlantedEffect(5, "text", 0.1), PlantedEffect("insight", "text", 0.1)]},
+    {"interactions": [Interaction("insight", "text", "age", "face", float("-inf"))]},
+    {"interactions": [Interaction("insight", "text", "age", ["face"], 0.5)]},
+], ids=["float-n", "bool-n", "int-band", "nan-slope", "huge-slope", "null-slope",
+        "int-feature", "infinite-magnitude", "list-modality"])
+def test_spec_rejects_fields_off_their_type(registry, lexicon, change):
+    with pytest.raises(SpecError):
+        _spec(**change).validate(registry, lexicon)
+
+
+#: The small spec of test_write_dataset_is_pinned: every supported planted
+#: feature (text, both image-quality scores, both face features, population)
+#: and one text x face interaction. With seed 0 its last campaign has a
+#: planted age and a num_faces that rounds to 0, so it gets one face.
+_PINNED_SPEC = SynthSpec(
+    cells=[Cell("B1", "Other", 4), Cell("B3", "Animals & Pets", 3)],
+    effects=[
+        PlantedEffect("insight", "text", -0.25),
+        PlantedEffect("aesthetic", "image_quality", 0.1),
+        PlantedEffect("technical", "image_quality", 0.2),
+        PlantedEffect("num_faces", "face", 0.15),
+        PlantedEffect("age", "face", -0.1),
+        PlantedEffect("city_population", "population", 0.1),
+    ],
+    interactions=[Interaction("family", "text", "age", "face", 0.3)],
+    words_per_description=40,
+)
+
+
+def test_write_dataset_is_pinned(registry, lexicon, tmp_path):
+    # Same spec and seed, same bytes, across versions of this package. The
+    # digests follow NumPy's Generator streams, which NEP 19 lets a NumPy
+    # release change: re-pin them only after a NumPy upgrade, with a note in
+    # CHANGES.md.
+    write_dataset(generate_dataset(_PINNED_SPEC, seed=0, lexicon=lexicon, registry=registry),
+                  tmp_path)
+    digests = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    assert digests == {
+        "campaigns.jsonl": "a29ece5fc58f3b5de7888f77d0794a766bfd07f3021d2c05c2858d0044b23dcd",
+        "census.csv": "93032fff06ff71ae2ae4a79fee93f2decf3f2247abc08df2105ca941894b980e",
+        "images/img_c000001.ppm.faces.json":
+            "e287841531a2d20314027f7b0dbbd7f7c5edd27bb106e9b193a6b1ee69d5653e",
+        "images/img_c000002.ppm.faces.json":
+            "68db2ab154aa52129d894da8d0c9696352144ad857cd373d918df0c5395d5a75",
+        "images/img_c000003.ppm.faces.json":
+            "96ba4a246ecfd201f09f58ada150a4eff81b16ae255258488fa5fc8febeed411",
+        "images/img_c000004.ppm.faces.json":
+            "6000b482cb06a52a5de4422a772c0440bae842ffe7f097b77efb2dea672fc664",
+        "images/img_c000005.ppm.faces.json":
+            "bf5920627e3851212536d1314db14ae9d966bd03752cc2ec67fa21ff1ba00c48",
+        "images/img_c000006.ppm.faces.json":
+            "622275f950a3110201fe560e312ec58f4be4e17955544faf379e6c8fdba82a1b",
+        "images/img_c000007.ppm.faces.json":
+            "de78755074db772ab61e5ad5a5797d546242baeca87f8d9d40d3c4b0dab62fe9",
+        "manifest.json": "924e7a8a3a89038aa999aeb44fe2a5355f6188eed1481251a0c59e904ef04cbf",
+        "quality.csv": "a5ec55b728c0fdf75a71bbf5bcc497c54ac2d7f2e45b0173587d37d44c3d8c1b",
+    }
 
 
 def test_generate_respects_cells_and_bands(registry, lexicon):
