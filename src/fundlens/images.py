@@ -105,9 +105,9 @@ def sidecar_path(root, image_ref: str) -> Path:
     return Path(root) / f"{image_ref}{SIDECAR_SUFFIX}"
 
 
-def write_sidecar(root, image_ref: str, faces) -> Path:
-    path = sidecar_path(root, image_ref)
-    path.parent.mkdir(parents=True, exist_ok=True)
+def write_sidecar(root, image_ref: str, faces) -> str:
+    path = os.path.join(root, f"{image_ref}{SIDECAR_SUFFIX}")
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     payload = [
         {
             "gender": f.gender,
@@ -118,7 +118,8 @@ def write_sidecar(root, image_ref: str, faces) -> Path:
         }
         for f in faces
     ]
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=1))
     return path
 
 

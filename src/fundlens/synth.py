@@ -37,9 +37,22 @@ _FEATURE_MAPS = {
 }
 _TEXT_LOC, _TEXT_SCALE = 10.0, 3.0  # planted word-category percent = 10 + 3z
 
-#: How a spec error names the declared type of a Cell, PlantedEffect or Interaction
-#: field. A number is never a bool, and a float may be an int but must be finite.
+#: How a spec error names the declared type of a SynthSpec scalar or of a Cell,
+#: PlantedEffect or Interaction field. A number is never a bool, and a float may
+#: be an int but must be finite.
 _KINDS = {str: "a string", int: "an integer", float: "a finite number"}
+
+#: The closed range of each SynthSpec scalar that has one (base_ratio only needs
+#: to be finite, which its type check already asks).
+_SCALAR_RANGES = (
+    ("noise_sigma", 0.0, math.inf),
+    ("words_per_description", 10, math.inf),
+    ("missing_city_rate", 0.0, 1.0),
+    ("background_poisson", 0.0, math.inf),
+)
+
+#: Filler words pad every description to its length: zq0 .. zq499.
+_FILLER = [f"zq{i}" for i in range(500)]
 
 
 @dataclass(frozen=True)
@@ -117,8 +130,10 @@ class SynthSpec:
         return sorted({(e.modality, e.feature) for e in self.effects} | self.interaction_keys())
 
     def validate(self, registry: CategoryRegistry, lexicon: Lexicon) -> None:
-        for record in [*self.cells, *self.effects, *self.interactions]:
+        for record in [self, *self.cells, *self.effects, *self.interactions]:
             for name, kind in get_type_hints(type(record)).items():
+                if kind not in _KINDS:  # the spec's record lists
+                    continue
                 value = getattr(record, name)
                 accepted = (int, float) if kind is float else kind
                 if (isinstance(value, bool) or not isinstance(value, accepted)
@@ -139,8 +154,9 @@ class SynthSpec:
                     raise SpecError(f"planted text feature {feature!r} not a lexicon category")
             elif (modality, feature) not in _FEATURE_MAPS:
                 raise SpecError(f"unsupported planted feature {modality}/{feature}")
-        if self.noise_sigma < 0 or self.words_per_description < 10:
-            raise SpecError("noise_sigma must be >= 0 and words_per_description >= 10")
+        for name, lo, hi in _SCALAR_RANGES:
+            if not lo <= getattr(self, name) <= hi:
+                raise SpecError(f"{name} must be in [{lo}, {hi}], got {getattr(self, name)!r}")
 
 
 def _exclusive_words(lexicon: Lexicon, category: str):
@@ -163,12 +179,21 @@ class SynthDataset:
     manifest: dict
 
 
+def _draw(rng, pool: list, k: int) -> list:
+    """k words drawn uniformly from pool (none when k <= 0). One sized integers call
+    takes the same stream as k scalar calls (tests/test_synth.py checks it) but
+    costs about as much as four of them, so a short draw stays scalar."""
+    if k < 4:
+        return [pool[rng.integers(0, len(pool))] for _ in range(k)]
+    return [pool[i] for i in rng.integers(0, len(pool), size=k).tolist()]
+
+
 def _make_faces(rng, num_faces: int, mean_age: float):
     faces = []
     for _ in range(num_faces):
         raw = rng.gamma(2.0, 1.0, size=7)
-        emotion = {k: float(100.0 * v / raw.sum()) for k, v in zip(EMOTION_KEYS, raw)}
-        age = float(np.clip(rng.normal(mean_age, 3.0), 0.0, 100.0))
+        emotion = dict(zip(EMOTION_KEYS, (100.0 * raw / raw.sum()).tolist()))
+        age = min(max(rng.normal(mean_age, 3.0), 0.0), 100.0)
         faces.append(FaceAttributes(
             gender="female" if rng.random() < 0.5 else "male",
             age=age,
@@ -189,11 +214,11 @@ def generate_dataset(spec: SynthSpec, seed: int, lexicon: Lexicon,
 
     latent_names = spec.planted_keys()
     interaction_feats = spec.interaction_keys()
-    word_pool = {feat: _exclusive_words(lexicon, feat) for mod, feat in latent_names
-                 if mod == "text"}
-
-    background_cats = [c for c in lexicon.categories if c not in word_pool]
-    background_words = {c: _exclusive_words(lexicon, c) for c in background_cats}
+    # Word pools with the wildcard stripped; a planted pattern of only "*" reads "word".
+    word_pool = {feat: [w.rstrip("*") or "word" for w in _exclusive_words(lexicon, feat)]
+                 for mod, feat in latent_names if mod == "text"}
+    background_pools = [[w.rstrip("*") for w in _exclusive_words(lexicon, c)]
+                        for c in lexicon.categories if c not in word_pool]
 
     # Fixed city pool for campaigns without a planted population effect.
     city_pool = [(f"baseville {i}", _STATES[i % len(_STATES)], int(2_000 * (i + 1) ** 2))
@@ -216,8 +241,8 @@ def generate_dataset(spec: SynthSpec, seed: int, lexicon: Lexicon,
             # separated clusters per feature, so the planted XOR is learnable
             # by the forest while each marginal stays uninformative;
             # linear-effect latents stay standard normal.
-            z = {key: float(rng.choice([-1.0, 1.0]) + rng.normal(0.0, 0.25))
-                 if key in interaction_feats else float(rng.standard_normal())
+            z = {key: (-1.0, 1.0)[rng.integers(0, 2)] + rng.normal(0.0, 0.25)
+                 if key in interaction_feats else rng.standard_normal()
                  for key in latent_names}
 
             # Realize each latent once. The ratio reads z_hat, the standardized
@@ -228,37 +253,34 @@ def generate_dataset(spec: SynthSpec, seed: int, lexicon: Lexicon,
             observed = {}  # non-text feature -> its realized value
             for (mod, feat) in latent_names:
                 if mod == "text":
-                    v = float(np.clip(_TEXT_LOC + _TEXT_SCALE * z[(mod, feat)], 0.0, 40.0))
+                    v = min(max(_TEXT_LOC + _TEXT_SCALE * z[(mod, feat)], 0.0), 40.0)
                     cnt = int(round(v / 100.0 * L))
                     word_counts[feat] = cnt
                     z_hat[(mod, feat)] = (100.0 * cnt / L - _TEXT_LOC) / _TEXT_SCALE
                 else:
                     loc, scale, lo, hi = _FEATURE_MAPS[(mod, feat)]
-                    observed[feat] = float(np.clip(loc + scale * z[(mod, feat)], lo, hi))
+                    observed[feat] = min(max(loc + scale * z[(mod, feat)], lo), hi)
                     z_hat[(mod, feat)] = (observed[feat] - loc) / scale
 
-            ratio = spec.base_ratio + float(rng.normal(0.0, spec.noise_sigma))
+            ratio = spec.base_ratio + rng.normal(0.0, spec.noise_sigma)
             for eff in spec.effects:
                 ratio += eff.slope * z_hat[(eff.modality, eff.feature)]
             for inter in spec.interactions:
                 xor = (z_hat[(inter.a_modality, inter.a_feature)] > 0.0) != (
                     z_hat[(inter.b_modality, inter.b_feature)] > 0.0)
                 ratio += inter.magnitude if xor else -inter.magnitude
-            ratio = float(np.clip(ratio, 0.0, MAX_RATIO))
+            ratio = min(max(ratio, 0.0), MAX_RATIO)
 
-            # Text: planted counts first, background categories, then filler.
+            # Text: planted counts first, then each background category's Poisson
+            # count and its words (poisson(0.0) draws nothing), then filler up to
+            # L - 2 words.
             tokens = []
             for feat, cnt in word_counts.items():
-                pool = word_pool[feat]
-                tokens.extend(str(pool[rng.integers(0, len(pool))]).rstrip("*") or "word"
-                              for _ in range(cnt))
-            for cat in background_cats:
-                pool = background_words[cat]
-                for _ in range(int(rng.poisson(spec.background_poisson)) if spec.background_poisson > 0 else 0):
-                    tokens.append(str(pool[rng.integers(0, len(pool))]).rstrip("*"))
-            while len(tokens) < L - 2:
-                tokens.append(f"zq{rng.integers(0, 500)}")
-            tokens = tokens[: L - 2]
+                tokens += _draw(rng, word_pool[feat], cnt)
+            for pool in background_pools:
+                tokens += _draw(rng, pool, rng.poisson(spec.background_poisson))
+            tokens += _draw(rng, _FILLER, L - 2 - len(tokens))
+            del tokens[L - 2:]
             rng.shuffle(tokens)
             title = f"zt{cid} zfiller"
             description = " ".join(tokens)
@@ -266,7 +288,7 @@ def generate_dataset(spec: SynthSpec, seed: int, lexicon: Lexicon,
             # Image quality scores (precomputed table route); unplanted ones are drawn.
             ref = f"images/img_{ident}.ppm"
             aesthetic, technical = (
-                observed[feat] if feat in observed else float(np.clip(rng.normal(5.0, 0.8), 1.0, 10.0))
+                observed[feat] if feat in observed else min(max(rng.normal(5.0, 0.8), 1.0), 10.0)
                 for feat in ("aesthetic", "technical"))
             quality_rows.append((ref, aesthetic, technical))
 

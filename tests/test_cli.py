@@ -286,8 +286,15 @@ def _spec_bytes(**changes) -> bytes:
     _spec_bytes(interactions=[{"a_feature": "insight", "a_modality": "text", "b_feature": "age",
                                "b_modality": "face", "magnitude": float("inf")}]),
     b"[]",
+    _spec_bytes(noise_sigma=float("nan")),
+    _spec_bytes(base_ratio=float("inf")),
+    _spec_bytes(missing_city_rate=7),
+    _spec_bytes(missing_city_rate=-0.01),
+    _spec_bytes(background_poisson=-1),
+    _spec_bytes(background_poisson=float("inf")),
 ], ids=["invalid-json", "not-utf8", "str-scalar", "null-scalar", "unknown-key", "str-n",
-        "str-slope", "infinite-magnitude", "not-an-object"])
+        "str-slope", "infinite-magnitude", "not-an-object", "nan-noise", "infinite-base-ratio",
+        "city-rate-7", "negative-city-rate", "negative-poisson", "infinite-poisson"])
 def test_malformed_spec_exits_3(tmp_path, capsys, blob):
     spec = tmp_path / "spec.json"
     spec.write_bytes(blob)

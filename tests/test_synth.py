@@ -85,6 +85,12 @@ def test_spec_rejects_fields_off_their_type(registry, lexicon, change):
         _spec(**change).validate(registry, lexicon)
 
 
+def test_spec_accepts_scalar_range_ends(registry, lexicon):
+    _spec(noise_sigma=0.0, missing_city_rate=0.0, background_poisson=0.0,
+          words_per_description=10, base_ratio=-3.0).validate(registry, lexicon)
+    _spec(missing_city_rate=1.0).validate(registry, lexicon)
+
+
 #: The small spec of test_write_dataset_is_pinned: every supported planted
 #: feature (text, both image-quality scores, both face features, population)
 #: and one text x face interaction. With seed 0 its last campaign has a
@@ -104,16 +110,20 @@ _PINNED_SPEC = SynthSpec(
 )
 
 
+def _written_digests(ds, root) -> dict:
+    """sha256 of every file write_dataset writes, by path relative to root."""
+    write_dataset(ds, root)
+    return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 def test_write_dataset_is_pinned(registry, lexicon, tmp_path):
     # Same spec and seed, same bytes, across versions of this package. The
     # digests follow NumPy's Generator streams, which NEP 19 lets a NumPy
     # release change: re-pin them only after a NumPy upgrade, with a note in
     # CHANGES.md.
-    write_dataset(generate_dataset(_PINNED_SPEC, seed=0, lexicon=lexicon, registry=registry),
-                  tmp_path)
-    digests = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted(tmp_path.rglob("*")) if p.is_file()}
-    assert digests == {
+    ds = generate_dataset(_PINNED_SPEC, seed=0, lexicon=lexicon, registry=registry)
+    assert _written_digests(ds, tmp_path) == {
         "campaigns.jsonl": "a29ece5fc58f3b5de7888f77d0794a766bfd07f3021d2c05c2858d0044b23dcd",
         "census.csv": "93032fff06ff71ae2ae4a79fee93f2decf3f2247abc08df2105ca941894b980e",
         "images/img_c000001.ppm.faces.json":
@@ -133,6 +143,112 @@ def test_write_dataset_is_pinned(registry, lexicon, tmp_path):
         "manifest.json": "924e7a8a3a89038aa999aeb44fe2a5355f6188eed1481251a0c59e904ef04cbf",
         "quality.csv": "a5ec55b728c0fdf75a71bbf5bcc497c54ac2d7f2e45b0173587d37d44c3d8c1b",
     }
+
+
+#: Specs for the text and location paths _PINNED_SPEC misses, pinned at seed 1.
+#: "filler-only": no background words (background_poisson 0), latents that only
+#: interactions read, so all are bimodal, and ghost towns. "truncated": 10 words
+#: leave room for 8, fewer than the planted and background words, so the
+#: description is cut and holds no filler.
+_EDGE_SPECS = {
+    "filler-only": (SynthSpec(
+        cells=[Cell("B2", "Other", 5)],
+        interactions=[Interaction("insight", "text", "age", "face", 0.4),
+                      Interaction("we", "text", "aesthetic", "image_quality", 0.2)],
+        words_per_description=24, background_poisson=0.0, missing_city_rate=0.5,
+    ), {
+        "campaigns.jsonl": "cc6535243bcf1d570080d7fc55fd7e91ec52303eae1d5921ca71bc22a5ae5568",
+        "census.csv": "21c4dab513d7c2661c378eb066b5f988b3aa5a1d8c1e89c9245c23b9a9a07f65",
+        "images/img_c000001.ppm.faces.json":
+            "b6a509d5d7f0ebd6325721016cecad7a4261d1c9b31416e784247424752aefa6",
+        "images/img_c000002.ppm.faces.json":
+            "99c996375f843ef1d2395cd8b59b3d7d1a6ec64db2f8f3add24a6a7809b40301",
+        "images/img_c000003.ppm.faces.json":
+            "5d954e362b2502efa840bbf22d93dd397e6096e3a5f3e5a20d0c7ea2c057bbcf",
+        "images/img_c000004.ppm.faces.json":
+            "56c5d1e7eb632951405cfbb5268602ab3fcf4db86d4a82d65014fbcac6ad5883",
+        "images/img_c000005.ppm.faces.json":
+            "8324c04a890ed25fed5e5c7a1b298a7dde04a00fc59487874b66b9e5242dc340",
+        "manifest.json": "502bd8899c012580f07fd5420f20bf3c6395573caefb9036fb3eac0cc31a2893",
+        "quality.csv": "03d287265734b31ae602ae8f419261cbd74a42fd050e2d999023b3165e12be0b",
+    }),
+    "truncated": (SynthSpec(
+        cells=[Cell("B4", "Animals & Pets", 3)],
+        effects=[PlantedEffect("we", "text", 0.3), PlantedEffect("technical", "image_quality", -0.1)],
+        words_per_description=10, background_poisson=3.0, missing_city_rate=0.5,
+    ), {
+        "campaigns.jsonl": "dce6c1f2c7980a523473e2c8a4291ce9dcbef1e704ccc215cd12c3f7bc09ac1e",
+        "census.csv": "21c4dab513d7c2661c378eb066b5f988b3aa5a1d8c1e89c9245c23b9a9a07f65",
+        "images/img_c000001.ppm.faces.json":
+            "96f9a6829f1f523cb57f6f6711b747e19daaae5043e17caccda2a17cf7d80303",
+        "images/img_c000002.ppm.faces.json":
+            "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "images/img_c000003.ppm.faces.json":
+            "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "manifest.json": "88dc5f54ae6b18de9763bd8485760ae5f201a9e9679d47693441f64014d71f41",
+        "quality.csv": "31ae5689f532230d74996a7fea5c213d7d8182d648f8cd5f28748a058c21875b",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_SPECS))
+def test_write_dataset_is_pinned_on_edge_paths(registry, lexicon, tmp_path, name):
+    spec, digests = _EDGE_SPECS[name]
+    ds = generate_dataset(spec, seed=1, lexicon=lexicon, registry=registry)
+    # the paths the spec is here for are taken
+    cities = [c["city"].startswith("ghosttown") for c in ds.campaigns]
+    assert any(cities) and not all(cities)
+    if name == "truncated":
+        assert all(len(words) == 8 and not any(w.startswith("zq") for w in words)
+                   for words in (c["description"].split() for c in ds.campaigns))
+    assert _written_digests(ds, tmp_path) == digests
+
+
+# generate_dataset draws a list of k words with one sized integers call (k
+# scalar calls when k < 4), picks an interaction latent's sign by indexing
+# (-1.0, 1.0), calls poisson(0.0) when background_poisson is 0, and builds face
+# emotions and clipped values without per-scalar NumPy calls. Its output keeps
+# the digests pinned above only through the equivalences below, which NEP 19
+# lets a NumPy release change: after a NumPy upgrade, a failure here tells why
+# the pinned digests moved.
+@pytest.mark.parametrize("n", [1, 2, 7, 500, 2 ** 33])
+@pytest.mark.parametrize("k", [0, 1, 5, 301])
+def test_batched_integers_take_the_scalar_stream(n, k):
+    for skip in (0, 1):  # a fresh generator, and one with half a 64-bit word buffered
+        batched, scalar = np.random.default_rng(n + k), np.random.default_rng(n + k)
+        for rng in (batched, scalar):
+            rng.integers(0, 3, size=skip)
+        assert batched.integers(0, n, size=k).tolist() == [int(scalar.integers(0, n))
+                                                           for _ in range(k)]
+        assert batched.bit_generator.state == scalar.bit_generator.state
+        assert batched.random() == scalar.random()
+
+
+def test_sign_by_index_takes_the_choice_stream():
+    for seed in range(200):
+        by_choice, by_index = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(50):
+            assert by_choice.choice([-1.0, 1.0]) == (-1.0, 1.0)[by_index.integers(0, 2)]
+        assert by_choice.bit_generator.state == by_index.bit_generator.state
+
+
+def test_poisson_of_zero_draws_nothing():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert [rng.poisson(0.0) for _ in range(20)] == [0] * 20
+    assert rng.bit_generator.state == state
+
+
+def test_scalar_free_formulas_match_numpy_bit_for_bit():
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        raw = rng.gamma(2.0, 1.0, size=7)
+        assert ([v.hex() for v in (100.0 * raw / raw.sum()).tolist()]
+                == [float(100.0 * v / raw.sum()).hex() for v in raw])
+    lo, hi = 0.0, 40.0
+    for x in [*(10.0 + 30.0 * rng.standard_normal(500)).tolist(), lo, hi, -1e-300, 5e-324,
+              40.000000000000007, float("inf"), float("-inf"), float("nan")]:
+        assert min(max(x, lo), hi).hex() == float(np.clip(x, lo, hi)).hex()
 
 
 def test_generate_respects_cells_and_bands(registry, lexicon):
