@@ -16,28 +16,16 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
-from datetime import date
-from operator import itemgetter
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import forest as rf
-from .core import (
-    BANDS,
-    Campaign,
-    CategoryRegistry,
-    MAX_GOAL,
-    MAX_RATIO,
-    assign_binary_class,
-    assign_goal_band,
-    assign_success_class,
-)
+from .core import BANDS, LABEL_KEYS, MAX_GOAL, MAX_RATIO, Campaign, CategoryRegistry, assign_goal_band
 from .errors import ConfigError, DataError, FundlensError, SchemaError, utf8_input
 from .experiment import Setting, assemble, labeled_bands, run_experiment
-from .features import (LABEL_KEYS, FeatureMatrix, apply_imputation, build_feature_matrix,
-                       impute_with_indicators)
+from .features import FeatureMatrix, apply_imputation, build_feature_matrix, impute_with_indicators
 from .images import StubFaceProvider, load_precomputed_quality
 from .ingest import load_campaigns, load_population_table
 from .stats import screen
@@ -200,16 +188,6 @@ def _lexicon(cfg: RunConfig):
     return load_lexicon(None)
 
 
-def _lexicon_fingerprint(cfg: RunConfig) -> str:
-    if cfg.lexicon is not None:
-        blob = Path(cfg.lexicon).read_bytes()
-    else:
-        from importlib import resources
-
-        blob = resources.files("fundlens.data").joinpath("demo_lexicon.dic").read_bytes()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
 def _dataset_paths(cfg: RunConfig) -> dict:
     out = Path(cfg.out)
     return {
@@ -238,19 +216,13 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-#: The Campaign fields of every dataset.jsonl record, beside its LABEL_KEYS columns.
-_CAMPAIGN_FIELDS = tuple(f.name for f in fields(Campaign))
+def _load_dataset(path: Path, registry: CategoryRegistry):
+    """The campaigns of the dataset file cmd_ingest wrote, and their label columns.
 
-
-def _campaign(obj: dict) -> Campaign:
-    """The Campaign of a dataset.jsonl record."""
-    return Campaign(**{k: obj[k] for k in _CAMPAIGN_FIELDS if k != "launch_date"},
-                    launch_date=date.fromisoformat(obj["launch_date"]))
-
-
-def _load_dataset(path: Path, parse):
-    """``parse`` of every record of the dataset file cmd_ingest wrote, and its label columns."""
-    records = []
+    Each record is read and checked like a snapshot record, and its stored
+    labels must be the ones its amounts give.
+    """
+    campaigns = []
     labels = {k: [] for k in LABEL_KEYS}
     with Path(path).open("r", encoding="utf-8") as fh, utf8_input(path):
         for lineno, line in enumerate(fh, 1):
@@ -259,12 +231,17 @@ def _load_dataset(path: Path, parse):
                 continue
             try:
                 obj = json.loads(line)
-                records.append(parse(obj))
-                for k in LABEL_KEYS:
-                    labels[k].append(obj[k])
-            except (ValueError, KeyError, TypeError) as exc:
+                campaign = Campaign.from_record(obj, registry)
+                stored, expected = {k: obj[k] for k in LABEL_KEYS}, campaign.labels()
+            except (DataError, ValueError, KeyError) as exc:
                 raise DataError(f"{path}, line {lineno}: malformed dataset record: {exc!r}") from None
-    return records, labels
+            if stored != expected:
+                raise DataError(f"{path}, line {lineno}: stored labels {stored} are not the "
+                                f"labels of its amounts {expected}; rerun ingest")
+            campaigns.append(campaign)
+            for k in LABEL_KEYS:
+                labels[k].append(expected[k])
+    return campaigns, labels
 
 
 def _load_features(paths: dict):
@@ -280,14 +257,7 @@ def cmd_ingest(cfg: RunConfig, paths: dict) -> int:
     Path(cfg.out).mkdir(parents=True, exist_ok=True)
     with paths["dataset"].open("w", encoding="utf-8") as fh:
         for c in campaigns:
-            ratio, band = c.ratio, assign_goal_band(c.goal_amount)
-            four = assign_success_class(ratio)  # None, like class_two, above MAX_RATIO
-            obj = {k: getattr(c, k) for k in _CAMPAIGN_FIELDS}
-            obj.update(launch_date=c.launch_date.isoformat(), ratio=ratio,
-                       goal_band=band.name if band is not None else None,
-                       class_four=int(four) if four is not None else None,
-                       class_two=assign_binary_class(ratio))
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+            fh.write(json.dumps(c.to_record(), sort_keys=True) + "\n")
     paths["ingest_report"].write_text(
         json.dumps(report.as_dict(), sort_keys=True, indent=1), encoding="utf-8")
     print(f"ingest: accepted={report.accepted} rejected={report.rejected} "
@@ -314,13 +284,13 @@ def _feature_inputs(cfg: RunConfig) -> dict:
 
 def cmd_featurize(cfg: RunConfig, paths: dict) -> int:
     registry = _registry(cfg)
-    campaigns, labels = _load_dataset(paths["dataset"], _campaign)
+    campaigns, labels = _load_dataset(paths["dataset"], registry)
     inputs = _feature_inputs(cfg)
     matrix = build_feature_matrix(campaigns, registry, **inputs)
     provider = inputs["face_provider"]
     tags = {"quality": "precomputed" if inputs["quality_table"] is not None else "none",
             "faces": provider.tag if provider is not None else "none"}
-    provenance = {"provider_tags": tags, "lexicon_fingerprint": _lexicon_fingerprint(cfg)}
+    provenance = {"provider_tags": tags, "lexicon_fingerprint": inputs["lexicon"].fingerprint}
     matrix.save(paths["features_csv"], paths["features_meta"], paths["features"],
                 labels, provenance, _sha256(paths["dataset"]))
     print(f"featurize: {len(matrix.ids)} rows x {len(matrix.names)} features -> {paths['features']}")
@@ -506,7 +476,7 @@ def cmd_synth(cfg: RunConfig, paths: dict, spec_file: str) -> int:
 
 
 def cmd_report(cfg: RunConfig, paths: dict) -> int:
-    goals, labels = _load_dataset(paths["dataset"], itemgetter("goal_amount"))
+    campaigns, labels = _load_dataset(paths["dataset"], _registry(cfg))
 
     def write_hist(path, values, lo, hi, width):
         edges = np.arange(lo, hi + width / 2, width)
@@ -518,10 +488,11 @@ def cmd_report(cfg: RunConfig, paths: dict) -> int:
                 writer.writerow([f"{left:.6g}", f"{right:.6g}", int(count)])
 
     ratios = [r for r in labels["ratio"] if r <= MAX_RATIO]
-    write_hist(paths["goal_hist"], [g for g in goals if g <= MAX_GOAL], 0.0, MAX_GOAL, 4_000.0)
+    goals = [c.goal_amount for c in campaigns if c.goal_amount <= MAX_GOAL]
+    write_hist(paths["goal_hist"], goals, 0.0, MAX_GOAL, 4_000.0)
     write_hist(paths["ratio_hist"], ratios, 0.0, MAX_RATIO, 0.1)
     summary = {
-        "n": len(goals),
+        "n": len(campaigns),
         "per_band": {b: labels["goal_band"].count(b) for b in BANDS},
         "per_class_two": {str(k): labels["class_two"].count(k) for k in (-2, 2)},
         "dropped_ratio": labels["class_two"].count(None),

@@ -12,9 +12,9 @@ from datetime import date
 from enum import Enum, IntEnum
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
-from .errors import InvalidAmount, InvalidGoal, InvalidRatio, SchemaError, utf8_input
+from .errors import InvalidAmount, InvalidGoal, InvalidRatio, ParseError, SchemaError, utf8_input
 
 #: Drop campaigns whose raised/goal ratio exceeds this.
 MAX_RATIO = 2.5
@@ -45,6 +45,11 @@ class GoalBand(Enum):
 
 #: The band names, in goal order: the order every per-band loop uses.
 BANDS = tuple(GoalBand.__members__)
+#: (high, band) in goal order; the bands tile (0, MAX_GOAL] without gaps.
+_BAND_HIGHS = tuple((band.high, band) for band in GoalBand)
+
+#: The label columns of a campaign record, in the order Campaign.labels gives them.
+LABEL_KEYS = ("goal_band", "ratio", "class_two", "class_four")
 
 
 class SuccessClass(IntEnum):
@@ -69,8 +74,8 @@ def assign_goal_band(goal_amount: float) -> Optional[GoalBand]:
     """Map a goal to its band; None means the goal is above $100,000 (out of range)."""
     if not math.isfinite(goal_amount) or goal_amount <= 0:
         raise InvalidGoal(f"goal_amount must be a positive finite number, got {goal_amount}")
-    for band in GoalBand:
-        if band.contains(goal_amount):
+    for high, band in _BAND_HIGHS:
+        if goal_amount <= high:
             return band
     return None
 
@@ -149,9 +154,28 @@ class CategoryRegistry:
         return self._labels[index]
 
 
+def _finite(v) -> float:
+    v = float(v)  # OverflowError for an integer beyond the float range
+    if not math.isfinite(v):
+        raise ValueError(v)
+    return v
+
+
+#: Each declared Campaign field type -> (the JSON value types it takes, their
+#: conversion, the reason a record is rejected for when either fails).
+_READERS = {
+    str: (str, None, "bad_string"),
+    Optional[str]: ((str, type(None)), None, "bad_string"),
+    float: ((int, float), _finite, "bad_number"),
+    int: (int, None, "bad_count"),
+    date: (str, date.fromisoformat, "bad_date"),
+}
+
+
 @dataclass(frozen=True)
 class Campaign:
-    """One crawled fundraiser record."""
+    """One crawled fundraiser record. ``from_record`` and ``to_record`` are the
+    only code that reads and writes its JSON lines (snapshot and dataset.jsonl)."""
 
     id: str
     launch_date: date
@@ -174,6 +198,8 @@ class Campaign:
             raise InvalidGoal(f"campaign {self.id}: goal_amount {self.goal_amount}")
         if not math.isfinite(self.raised_amount) or self.raised_amount < 0:
             raise InvalidAmount(f"campaign {self.id}: raised_amount {self.raised_amount}")
+        if not math.isfinite(self.raised_amount / self.goal_amount):
+            raise InvalidRatio(f"campaign {self.id}: raised/goal overflows")
         if self.category not in registry:
             raise SchemaError(f"campaign {self.id}: unknown category {self.category!r}")
         for name in ("num_followers", "num_shares", "num_donors"):
@@ -187,3 +213,46 @@ class Campaign:
     def ratio(self) -> float:
         return compute_ratio(self.raised_amount, self.goal_amount)
 
+    @classmethod
+    def from_record(cls, obj, registry: CategoryRegistry) -> "Campaign":
+        """The checked Campaign of one parsed JSON record; other keys are ignored.
+
+        Each field is read by its declared type. A missing ``cover_image`` is
+        None; any other missing field is a ``missing_key``. Every error raised
+        carries its reject reason (``DataError.reason``).
+        """
+        if not isinstance(obj, dict):
+            raise ParseError("record is not a JSON object", "not_an_object")
+        if not _REQUIRED <= obj.keys():
+            raise SchemaError(f"missing keys {sorted(_REQUIRED - obj.keys())}", "missing_key")
+        values = {}
+        for name, types, convert, reason in _CODEC:
+            v = obj.get(name)
+            try:
+                if isinstance(v, bool) or not isinstance(v, types):
+                    raise TypeError(type(v).__name__)
+                values[name] = convert(v) if convert else v
+            except (TypeError, ValueError, OverflowError):
+                raise ParseError(f"{reason}: {name}", reason) from None
+        campaign = cls(**values)
+        campaign.validate(registry)
+        return campaign
+
+    def labels(self) -> dict:
+        """The LABEL_KEYS of the record: goal band, ratio and both success classes."""
+        ratio = self.ratio
+        band = assign_goal_band(self.goal_amount)
+        four = assign_success_class(ratio)  # None, like class_two, above MAX_RATIO
+        return {"goal_band": band.name if band is not None else None, "ratio": ratio,
+                "class_two": assign_binary_class(ratio),
+                "class_four": int(four) if four is not None else None}
+
+    def to_record(self) -> dict:
+        """The ``dataset.jsonl`` record: every field, launch_date as ISO text, and the labels."""
+        return {**vars(self), "launch_date": self.launch_date.isoformat(), **self.labels()}
+
+
+#: (field, types, conversion, reject reason) for each Campaign field, in field order.
+_CODEC = tuple((name, *_READERS[hint]) for name, hint in get_type_hints(Campaign).items())
+#: The fields a record must have: a field that may be null may also be absent.
+_REQUIRED = frozenset(name for name, types, *_ in _CODEC if not isinstance(None, types))

@@ -12,7 +12,12 @@ class ConfigError(FundlensError):
 
 
 class DataError(FundlensError):
-    """Bad data or shape mismatch at runtime (exit code 3)."""
+    """Bad data or shape mismatch at runtime (exit code 3); ``reason`` is the
+    code ingest rejects a record under, by default the class name."""
+
+    def __init__(self, message="", reason=None):
+        super().__init__(message)
+        self.reason = reason or type(self).__name__
 
 
 class InvalidGoal(DataError):

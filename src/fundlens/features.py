@@ -23,9 +23,8 @@ from .images import EMOTION_KEYS, aggregate_face_features
 from .ingest import PopulationTable
 from .text import Lexicon, campaign_text, clout_surrogate, extract
 
-#: The dataset.jsonl columns features.npz keeps beside the values; a missing
+#: features.npz keeps the label columns (core.LABEL_KEYS) beside the values; a missing
 #: goal band is stored as "" and a missing class as _NO_CLASS (no class is 0).
-LABEL_KEYS = ("goal_band", "ratio", "class_two", "class_four")
 _NO_CLASS = 0
 
 

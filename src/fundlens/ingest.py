@@ -8,21 +8,13 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import re
 from dataclasses import asdict, dataclass, field
-from datetime import date
 from pathlib import Path
 from typing import Optional
 
 from .core import Campaign, CategoryRegistry, MAX_GOAL, MAX_RATIO
 from .errors import DataError, EmptyDataset, ParseError, SchemaError, utf8_input
-
-_REQUIRED_KEYS = (
-    "id", "launch_date", "city", "state", "country", "title", "description",
-    "category", "goal_amount", "raised_amount",
-    "num_followers", "num_shares", "num_donors",
-)
 
 _WS = re.compile(r"\s+")
 
@@ -45,45 +37,8 @@ class IngestReport:
         return asdict(self)
 
 
-def _parse_record(obj: dict, registry: CategoryRegistry) -> Campaign:
-    for key in _REQUIRED_KEYS:
-        if key not in obj:
-            raise SchemaError(f"missing_key:{key}")
-    try:
-        launch = date.fromisoformat(str(obj["launch_date"]))
-    except ValueError as exc:
-        raise ParseError(f"bad_date:{obj['launch_date']}") from exc
-
-    def _num(key):
-        v = obj[key]
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(float(v)):
-            raise ParseError(f"bad_number:{key}")
-        return float(v)
-
-    def _count(key):
-        v = obj[key]
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ParseError(f"bad_count:{key}")
-        return v
-
-    campaign = Campaign(
-        id=str(obj["id"]),
-        launch_date=launch,
-        city=str(obj["city"]),
-        state=str(obj["state"]),
-        country=str(obj["country"]),
-        title=str(obj["title"]),
-        description=str(obj["description"]),
-        category=str(obj["category"]),
-        goal_amount=_num("goal_amount"),
-        raised_amount=_num("raised_amount"),
-        num_followers=_count("num_followers"),
-        num_shares=_count("num_shares"),
-        num_donors=_count("num_donors"),
-        cover_image=obj.get("cover_image"),
-    )
-    campaign.validate(registry)
-    return campaign
+#: The snapshot record parser (``Campaign.from_record``).
+_parse_record = Campaign.from_record
 
 
 def load_campaigns(path, registry: Optional[CategoryRegistry] = None):
@@ -109,23 +64,15 @@ def load_campaigns(path, registry: Optional[CategoryRegistry] = None):
             try:
                 if not line.isascii():
                     line.encode("utf-8")  # UnicodeEncodeError on a lone surrogate
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ParseError("not_an_object")
-                campaign = _parse_record(obj, registry)
+                campaign = _parse_record(json.loads(line), registry)
             except UnicodeEncodeError:
                 report.reject("bad_utf8")
                 continue
-            except json.JSONDecodeError:
+            except DataError as exc:
+                report.reject(exc.reason)
+                continue
+            except ValueError:  # not JSON, or an integer literal too long to convert
                 report.reject("bad_json")
-                continue
-            except (ParseError, SchemaError) as exc:
-                msg = str(exc)
-                code = msg.split(":")[0]
-                report.reject(code if re.fullmatch(r"[a-z_]+", code) else exc.__class__.__name__)
-                continue
-            except DataError as exc:  # InvalidGoal / InvalidAmount from validate()
-                report.reject(exc.__class__.__name__)
                 continue
             if campaign.country != "US":
                 report.non_us += 1

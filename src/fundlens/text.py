@@ -8,6 +8,7 @@ a drop-in replacement file.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 from dataclasses import dataclass, field
@@ -40,6 +41,8 @@ class LexiconEntry:
 class Lexicon:
     categories: list
     entries: list
+    #: First 16 hex digits of the sha256 of the file the lexicon was read from.
+    fingerprint: str = ""
     _exact: dict = field(default_factory=dict, repr=False)
     # (k, {prefix of length k: categories}) for each wildcard length k, ascending
     _prefixes: list = field(default_factory=list, repr=False)
@@ -90,11 +93,11 @@ def load_lexicon(path=None) -> Lexicon:
     Lexicon follow file order of the header.
     """
     if path is None:
-        raw = resources.files("fundlens.data").joinpath("demo_lexicon.dic").read_text("utf-8")
+        blob = resources.files("fundlens.data").joinpath("demo_lexicon.dic").read_bytes()
     else:
-        with utf8_input(path):
-            raw = Path(path).read_text(encoding="utf-8")
-    lines = raw.splitlines()
+        blob = Path(path).read_bytes()
+    with utf8_input(path):
+        lines = blob.decode("utf-8").splitlines()
     delims = [i for i, ln in enumerate(lines) if ln.strip() == "%"]
     if len(delims) < 2:
         raise SchemaError("lexicon file lacks a %-delimited header block")
@@ -137,7 +140,8 @@ def load_lexicon(path=None) -> Lexicon:
             raise SchemaError(f"entry {word!r} references no category")
         wildcard = word.endswith("*")
         entries.append(LexiconEntry(word.rstrip("*"), wildcard, frozenset(cats)))
-    return Lexicon(categories=categories, entries=entries)
+    return Lexicon(categories=categories, entries=entries,
+                   fingerprint=hashlib.sha256(blob).hexdigest()[:16])
 
 
 @dataclass

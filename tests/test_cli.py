@@ -368,10 +368,35 @@ def _drop_goal_band(line):
     return json.dumps(record)
 
 
+def _set(**changes):
+    """A dataset.jsonl line edit that sets each key of ``changes``."""
+    return lambda line: json.dumps({**json.loads(line), **changes})
+
+
+def _double_ratio(line):
+    record = json.loads(line)
+    record["ratio"] *= 2  # no longer raised_amount / goal_amount
+    return json.dumps(record)
+
+
+#: Records that are off their schema, or whose stored labels are not the labels of their amounts.
+_OFF_SCHEMA = {
+    "state-5": _set(state=5),
+    "title-null": _set(title=None),
+    "goal-abc": _set(goal_amount="abc"),
+    "cover-image-5": _set(cover_image=5),
+    "class-two-7": _set(class_two=7),
+    "goal-band-B9": _set(goal_band="B9"),
+    "ratio-off": _double_ratio,
+}
+
+
 @pytest.mark.parametrize("command, corrupt", [
-    ("featurize", _drop_goal_band),
-    ("report", lambda line: "{not json"),
-], ids=["missing-key", "not-json"])
+    pytest.param("featurize", _drop_goal_band, id="missing-key"),
+    pytest.param("report", lambda line: "{not json", id="not-json"),
+    *(pytest.param(command, corrupt, id=f"{command}-{name}")
+      for name, corrupt in _OFF_SCHEMA.items() for command in ("featurize", "report")),
+])
 def test_malformed_dataset_exits_3(pipeline_dir, tmp_path, capsys, command, corrupt):
     root, out, base = pipeline_dir
     for name in ("dataset.jsonl", "features.csv", "features_meta.json", "features.npz"):
@@ -381,6 +406,26 @@ def test_malformed_dataset_exits_3(pipeline_dir, tmp_path, capsys, command, corr
     (tmp_path / "dataset.jsonl").write_text("\n".join(lines) + "\n")
     assert main([command, *base, "--out", str(tmp_path)]) == 3
     assert "dataset.jsonl, line 5" in capsys.readouterr().err
+
+
+def test_dataset_record_without_cover_image_has_no_image(pipeline_dir, tmp_path):
+    # Like a snapshot record without one: the campaign's image features are missing.
+    root, out, base = pipeline_dir
+    lines = (out / "dataset.jsonl").read_text().splitlines()
+    record = json.loads(lines[4])
+    del record["cover_image"]
+    lines[4] = json.dumps(record)
+    (tmp_path / "dataset.jsonl").write_text("\n".join(lines) + "\n")
+    assert main(["featurize", *base, "--out", str(tmp_path)]) == 0
+    matrix, _, _ = features.FeatureMatrix.load(tmp_path / "features.npz",
+                                               cli._sha256(tmp_path / "dataset.jsonl"))
+    before, _, _ = features.FeatureMatrix.load(out / "features.npz", cli._sha256(out / "dataset.jsonl"))
+    image = [j for j, m in enumerate(matrix.modalities) if m in ("image_quality", "face")
+             and not matrix.names[j].endswith("_missing")]
+    assert np.isnan(matrix.values[4, image]).all()
+    assert not np.isnan(before.values[4, image]).all()
+    assert np.array_equal(np.delete(matrix.values, 4, axis=0), np.delete(before.values, 4, axis=0),
+                          equal_nan=True)
 
 
 def test_reordered_dataset_exits_3(pipeline_dir, tmp_path, capsys):

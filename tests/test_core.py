@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from fundlens.core import (
     GoalBand,
+    LABEL_KEYS,
     MAX_GOAL,
     MAX_RATIO,
     SuccessClass,
@@ -155,3 +157,24 @@ def test_registry_load_rejects_duplicates(tmp_path):
     p.write_text("A\nB\nA\n")
     with pytest.raises(SchemaError):
         CategoryRegistry.load(p)
+
+
+_COUNTS = st.integers(min_value=0, max_value=10 ** 9)
+_CAMPAIGNS = st.builds(
+    Campaign,
+    id=st.text(), launch_date=st.dates(), city=st.text(), state=st.text(min_size=2, max_size=2),
+    country=st.text(max_size=3), title=st.text(), description=st.text(),
+    category=st.sampled_from(CategoryRegistry.default().labels),
+    goal_amount=st.floats(min_value=1e-3, max_value=1e9),
+    raised_amount=st.floats(min_value=0.0, max_value=1e9),
+    num_followers=_COUNTS, num_shares=_COUNTS, num_donors=_COUNTS,
+    cover_image=st.none() | st.text(),
+)
+
+
+@given(_CAMPAIGNS)
+def test_campaign_record_round_trips_through_json(registry, campaign):
+    record = json.loads(json.dumps(campaign.to_record()))
+    assert Campaign.from_record(record, registry) == campaign
+    assert {k: record[k] for k in LABEL_KEYS} == campaign.labels()
+    assert Campaign.from_record(record, registry).labels() == campaign.labels()

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fundlens.cli import main
 from fundlens.errors import EmptyDataset, ParseError, SchemaError
 from fundlens.ingest import (
     load_campaigns,
@@ -44,6 +45,30 @@ def test_load_campaigns_reason_codes(snapshot_file, campaign_record, registry):
     assert report.reasons["bad_count"] == 1
     assert report.reasons["non_us"] == 1
     assert sum(report.reasons.values()) == 8
+
+
+@pytest.mark.parametrize("bad, reason", [
+    (lambda r: {**r, "title": None}, "bad_string"),
+    (lambda r: {**r, "state": 12}, "bad_string"),
+    (lambda r: {**r, "city": {"name": "Springfield"}}, "bad_string"),
+    (lambda r: {**r, "id": 7}, "bad_string"),
+    (lambda r: {**r, "cover_image": 5}, "bad_string"),
+    (lambda r: {**r, "launch_date": 20190101}, "bad_date"),
+    (lambda r: {**r, "goal_amount": 10 ** 400}, "bad_number"),
+    (lambda r: {**r, "goal_amount": 1e-300, "raised_amount": 1e10}, "InvalidRatio"),
+    (lambda r: json.dumps(r)[:-1] + ', "note": 1' + "0" * 5000 + "}", "bad_json"),
+], ids=["title-null", "state-int", "city-object", "id-int", "cover-image-int", "launch-date-int",
+        "goal-401-digits", "ratio-overflows", "int-5001-digits"])
+def test_ingest_rejects_an_off_type_line_and_goes_on(snapshot_file, campaign_record, tmp_path,
+                                                     bad, reason):
+    snapshot = snapshot_file([campaign_record, bad(campaign_record), {**campaign_record, "id": "c2"}])
+    out = tmp_path / "out"
+    assert main(["ingest", "--seed", "1", "--out", str(out), "--campaigns", str(snapshot)]) == 0
+    report = json.loads((out / "ingest_report.json").read_text())
+    assert (report["total_records"], report["accepted"], report["rejected"]) == (3, 2, 1)
+    assert report["reasons"] == {reason: 1}
+    written = [json.loads(line)["id"] for line in (out / "dataset.jsonl").read_text().splitlines()]
+    assert written == ["c1", "c2"]
 
 
 def test_outlier_records_accepted_but_counted(snapshot_file, campaign_record, registry):

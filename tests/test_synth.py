@@ -1,11 +1,12 @@
 import hashlib
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fundlens.core import GoalBand, assign_goal_band
+from fundlens.core import Campaign, GoalBand, assign_goal_band
 from fundlens.errors import SpecError
 from fundlens.features import build_feature_matrix
 from fundlens.images import StubFaceProvider, load_precomputed_quality
@@ -260,6 +261,16 @@ def test_generate_respects_cells_and_bands(registry, lexicon):
         per_cell[(band.name, c["category"])] = per_cell.get((band.name, c["category"]), 0) + 1
         assert 0.0 <= c["raised_amount"] / c["goal_amount"] <= 2.5 + 1e-9
     assert per_cell == {("B1", "Other"): 150, ("B2", "Animals & Pets"): 120}
+
+
+def test_generated_campaigns_follow_the_campaign_schema(registry, lexicon):
+    # Keys are exactly Campaign's fields, and each dict reads back to the same record.
+    ds = generate_dataset(_spec(), 5, lexicon, registry)
+    names = {f.name for f in fields(Campaign)}
+    for c in ds.campaigns:
+        assert set(c) == names
+        campaign = Campaign.from_record(c, registry)
+        assert campaign.to_record() == {**c, **campaign.labels()}
 
 
 def test_generate_is_deterministic(registry, lexicon):

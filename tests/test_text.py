@@ -1,5 +1,7 @@
+import hashlib
 import re
 import sys
+from importlib import resources
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,6 +16,16 @@ from fundlens.text import (
     load_lexicon,
     tokenize,
 )
+
+
+def test_lexicon_fingerprint_is_the_hash_of_its_file(tmp_path):
+    bundled = resources.files("fundlens.data").joinpath("demo_lexicon.dic").read_bytes()
+    assert load_lexicon().fingerprint == hashlib.sha256(bundled).hexdigest()[:16]
+    path = tmp_path / "crlf.dic"
+    path.write_bytes(bundled.replace(b"\n", b"\r\n"))
+    lexicon = load_lexicon(path)
+    assert lexicon.fingerprint == hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    assert (lexicon.categories, lexicon.entries) == (load_lexicon().categories, load_lexicon().entries)
 
 
 def test_tokenize_basic():
