@@ -161,6 +161,16 @@ def _finite(v) -> float:
     return v
 
 
+def _iso_date(s: str) -> date:
+    """A ``YYYY-MM-DD`` date. ``date.fromisoformat`` takes other ISO 8601 forms
+    too from Python 3.11 on (``20190101``, ``2019W011``), so only a date that
+    reads back as ``s`` is taken, on every interpreter."""
+    d = date.fromisoformat(s)
+    if d.isoformat() != s:
+        raise ValueError(s)
+    return d
+
+
 #: Each declared Campaign field type -> (the JSON value types it takes, their
 #: conversion, the reason a record is rejected for when either fails).
 _READERS = {
@@ -168,7 +178,7 @@ _READERS = {
     Optional[str]: ((str, type(None)), None, "bad_string"),
     float: ((int, float), _finite, "bad_number"),
     int: (int, None, "bad_count"),
-    date: (str, date.fromisoformat, "bad_date"),
+    date: (str, _iso_date, "bad_date"),
 }
 
 

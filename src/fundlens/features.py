@@ -114,7 +114,8 @@ class FeatureMatrix:
         """(matrix, labels, provenance) from ``save``'s ``npz_path``; a corrupt file,
         or one built from a dataset whose sha256 is not ``dataset_sha256``, is a SchemaError."""
         try:
-            with np.load(npz_path, allow_pickle=False) as z:
+            # np.load leaves a file it opened itself unclosed when zipfile raises
+            with open(npz_path, "rb") as fh, np.load(fh, allow_pickle=False) as z:
                 matrix = cls(ids=z["ids"].tolist(), names=z["names"].tolist(),
                              modalities=z["modalities"].tolist(), values=z["values"])
                 labels = {"goal_band": [b or None for b in z["goal_band"].tolist()], "ratio": z["ratio"]}

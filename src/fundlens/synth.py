@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import CategoryRegistry, GoalBand, MAX_RATIO
 from .errors import SpecError
-from .images import EMOTION_KEYS, FaceAttributes, write_sidecar
+from .images import EMOTION_KEYS, FACES_FILE, FaceAttributes, write_faces
 from .text import Lexicon
 
 _STATES = ("NY", "CA", "TX", "IL", "WA", "OH", "FL", "PA", "GA", "MI")
@@ -344,13 +344,14 @@ def generate_dataset(spec: SynthSpec, seed: int, lexicon: Lexicon,
 
 
 def write_dataset(ds: SynthDataset, outdir) -> dict:
-    """Write campaigns.jsonl, census.csv, quality.csv, face sidecars, manifest.json."""
+    """Write campaigns.jsonl, census.csv, quality.csv, faces.jsonl and manifest.json."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = {
         "campaigns": outdir / "campaigns.jsonl",
         "census": outdir / "census.csv",
         "quality": outdir / "quality.csv",
+        "faces": outdir / FACES_FILE,
         "manifest": outdir / "manifest.json",
         "sidecar_root": outdir,
     }
@@ -367,7 +368,6 @@ def write_dataset(ds: SynthDataset, outdir) -> dict:
         writer.writerow(["image_ref", "aesthetic", "technical"])
         for ref, a, t in ds.quality_rows:
             writer.writerow([ref, f"{a:.6f}", f"{t:.6f}"])
-    for ref, faces in ds.faces.items():
-        write_sidecar(outdir, ref, faces)
+    write_faces(outdir, ds.faces)
     paths["manifest"].write_text(json.dumps(ds.manifest, sort_keys=True, indent=1), encoding="utf-8")
     return {k: str(v) for k, v in paths.items()}

@@ -312,7 +312,7 @@ _DEMO_LEXICON = Path(features.__file__).parent / "data" / "demo_lexicon.dic"
     ("report", "out/dataset.jsonl", None),
     ("featurize", "data/census.csv", "--census"),
     ("featurize", "lexicon.dic", "--lexicon"),
-    ("featurize", "data/images/img_c000001.ppm.faces.json", "--sidecar-root"),
+    ("featurize", "data/faces.jsonl", "--sidecar-root"),
 ], ids=["snapshot", "dataset", "census", "lexicon", "sidecar"])
 def test_non_utf8_input(pipeline_dir, tmp_path, capsys, command, source, flag):
     # ingest rejects the snapshot line under its own reason code; any other
@@ -348,6 +348,48 @@ def test_non_numeric_quality_score_exits_3(pipeline_dir, tmp_path, capsys):
     assert rc == 3
     assert "quality.csv, line 3" in capsys.readouterr().err
     assert not (tmp_path / "features.csv").exists()
+
+
+_FACE = {"age": 30.0, "beauty": {"female_score": 60.0, "male_score": 70.0},
+         "emotion": {"anger": 0.0, "disgust": 0.0, "fear": 0.0, "happiness": 80.0,
+                     "neutral": 20.0, "sadness": 0.0, "surprise": 0.0},
+         "gender": "female", "smile": {"value": False}}
+
+
+def _faces_line(faces, ref):
+    return (json.dumps({"faces": faces, "image_ref": ref}) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda first, line: line[:-5] + b"\n",
+    lambda first, line: b"[]\n",
+    lambda first, line: _faces_line([], 7),
+    lambda first, line: json.dumps({"faces": [], "ref": "x"}).encode("utf-8") + b"\n",
+    lambda first, line: _faces_line({}, json.loads(line)["image_ref"]),
+    lambda first, line: first,
+    lambda first, line: line[:1] + b"\xff" + line[1:],
+    lambda first, line: _faces_line([{**_FACE, "age": True}], json.loads(line)["image_ref"]),
+    lambda first, line: _faces_line([{**_FACE, "age": 10**400}], json.loads(line)["image_ref"]),
+    lambda first, line: _faces_line([{**_FACE, "emotion": {**_FACE["emotion"], "anger": float("nan")}}],
+                                    json.loads(line)["image_ref"]),
+], ids=["malformed", "array", "int-ref", "no-ref", "faces-object", "duplicate-ref", "not-utf8",
+        "bool-age", "huge-age", "nan-emotion"])
+def test_malformed_faces_jsonl_exits_3(pipeline_dir, tmp_path, capsys, edit):
+    root, out, base = pipeline_dir
+    lines = (root / "data" / "faces.jsonl").read_bytes().splitlines(keepends=True)
+    lines[1] = edit(lines[0], lines[1])
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "faces.jsonl").write_bytes(b"".join(lines))
+    work = tmp_path / "o"
+    work.mkdir()
+    shutil.copy(out / "dataset.jsonl", work / "dataset.jsonl")
+    rc = main(["featurize", *base, "--out", str(work), "--sidecar-root", str(data)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("data error: ") and f"{data / 'faces.jsonl'}, line 2: " in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in work.iterdir()) == ["dataset.jsonl"]
 
 
 def test_predict_missing_input_exits_2_before_writing(pipeline_dir, tmp_path, capsys):

@@ -13,7 +13,7 @@ from fundlens.features import (
     build_feature_matrix,
     impute_with_indicators,
 )
-from fundlens.images import StubFaceProvider, parse_face, write_sidecar
+from fundlens.images import StubFaceProvider, parse_face, write_faces
 from fundlens.ingest import load_population_table
 
 
@@ -126,7 +126,7 @@ def test_build_feature_matrix_columns(registry, lexicon, tmp_path):
         "emotion": {"anger": 0.0, "disgust": 0.0, "fear": 0.0, "happiness": 100.0,
                     "neutral": 0.0, "sadness": 0.0, "surprise": 0.0},
     })
-    write_sidecar(tmp_path, "img_0.ppm", [face])
+    write_faces(tmp_path, {"img_0.ppm": [face]})
     provider = StubFaceProvider(tmp_path)
 
     campaigns = [_campaign(0), _campaign(1, city="Nowhere", cover_image=None)]
@@ -145,7 +145,7 @@ def test_build_feature_matrix_columns(registry, lexicon, tmp_path):
     # text block: "we" twice out of 7 description+2 title words
     assert matrix.column("word_count")[0] == 9
     assert matrix.column("liwc_we")[0] == pytest.approx(100.0 * 3 / 9)
-    # face block from the sidecar; no cover image means the block is missing
+    # face block from faces.jsonl; no cover image means the block is missing
     assert matrix.column("num_faces")[0] == 1.0
     assert matrix.column("is_child")[0] == 1.0
     assert np.isnan(matrix.column("num_faces")[1])

@@ -9,8 +9,7 @@ from fundlens.images import (
     aggregate_face_features,
     load_precomputed_quality,
     parse_face,
-    sidecar_path,
-    write_sidecar,
+    write_faces,
 )
 
 
@@ -105,31 +104,68 @@ def test_aggregate_permutation_invariant():
     assert a.mean_emotion == b.mean_emotion
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda o: o["emotion"].update(anger=float("nan")),
+    lambda o: o["emotion"].update(anger=float("inf")),
+    lambda o: o.update(age=True),
+    lambda o: o["beauty"].update(male_score=False),
+    lambda o: o["emotion"].update(neutral=True),
+    lambda o: o.update(age=10**400),
+    lambda o: o["beauty"].update(female_score=10**400),
+], ids=["nan-emotion", "inf-emotion", "bool-age", "bool-beauty", "bool-emotion",
+        "huge-age", "huge-beauty"])
+def test_parse_face_takes_only_finite_non_bool_numbers(mutate):
+    # The rule of Campaign.from_record: a finite int or float, never a bool.
+    obj = _face_obj()
+    mutate(obj)
+    with pytest.raises(SchemaError, match="must be a finite number"):
+        parse_face(obj)
+
+
 def test_stub_provider_reads_sidecars(tmp_path):
-    write_sidecar(tmp_path, "imgs/pic.ppm", [_face(age=8.0)])
+    # Each image's sidecar record is one line of faces.jsonl.
+    write_faces(tmp_path, {"imgs/pic.ppm": [_face(age=8.0)], "imgs/none.ppm": []})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["faces.jsonl"]
     provider = StubFaceProvider(tmp_path)
     faces = provider.analyze("imgs/pic.ppm")
     assert len(faces) == 1
     assert faces[0].age == 8.0
-    # missing sidecar means "no analysis", not an error
+    assert provider.analyze("imgs/none.ppm") == []
+    # an image with no line means "no analysis", not an error
     assert provider.analyze("imgs/other.ppm") == []
-    assert sidecar_path(tmp_path, "imgs/pic.ppm").exists()
 
 
 def test_stub_provider_skips_paths_that_hold_no_sidecar_file(tmp_path):
-    provider = StubFaceProvider(tmp_path)
-    sidecar_path(tmp_path, "dir.ppm").mkdir()                # a directory at the sidecar path
-    (tmp_path / "plain.txt").write_text("not a directory")   # a regular file as a parent
-    assert provider.analyze("dir.ppm") == []
-    assert provider.analyze("plain.txt/pic.ppm") == []
-    assert provider.analyze("missing/pic.ppm") == []
+    assert StubFaceProvider(tmp_path / "missing").analyze("pic.ppm") == []   # no directory
+    (tmp_path / "plain.txt").write_text("not a directory")
+    assert StubFaceProvider(tmp_path / "plain.txt").analyze("pic.ppm") == []  # a file as root
+    (tmp_path / "faces.jsonl").mkdir()                                         # a directory at its path
+    assert StubFaceProvider(tmp_path).analyze("pic.ppm") == []
+
+
+_GOOD_LINE = '{"faces": [], "image_ref": "a.ppm"}\n'
 
 
 @pytest.mark.parametrize("body", ["{not json", '{"faces": []}', '[{"gender": "robot"}]'])
 def test_stub_provider_rejects_malformed_sidecars(tmp_path, body):
-    sidecar_path(tmp_path, "pic.ppm").write_text(body, encoding="utf-8")
-    with pytest.raises(SchemaError):
-        StubFaceProvider(tmp_path).analyze("pic.ppm")
+    (tmp_path / "faces.jsonl").write_text(_GOOD_LINE + body + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match="faces.jsonl, line 2: "):
+        StubFaceProvider(tmp_path)
+
+
+@pytest.mark.parametrize("body, line", [
+    (_GOOD_LINE + "\n", 2),
+    (_GOOD_LINE + '{"faces": [], "image_ref": 5}\n', 2),
+    (_GOOD_LINE + '{"faces": {}, "image_ref": "b.ppm"}\n', 2),
+    (_GOOD_LINE + '{"image_ref": "b.ppm"}\n', 2),
+    (_GOOD_LINE + '{"faces": [], "image_ref": "b.ppm"}\n' + _GOOD_LINE, 3),
+    (_GOOD_LINE + '{"faces": [], "image_ref": "\xff.ppm"}\n', 2),
+    (_GOOD_LINE + '{"faces": [{"gender": "robot"}], "image_ref": "b.ppm"}\n', 2),
+], ids=["blank", "int-ref", "faces-object", "no-faces", "duplicate-ref", "not-utf8", "bad-face"])
+def test_stub_provider_rejects_malformed_lines(tmp_path, body, line):
+    (tmp_path / "faces.jsonl").write_bytes(body.encode("latin-1"))
+    with pytest.raises(SchemaError, match=f"faces.jsonl, line {line}: "):
+        StubFaceProvider(tmp_path)
 
 
 # ---------------------------------------------------------------------------

@@ -54,10 +54,14 @@ def test_load_campaigns_reason_codes(snapshot_file, campaign_record, registry):
     (lambda r: {**r, "id": 7}, "bad_string"),
     (lambda r: {**r, "cover_image": 5}, "bad_string"),
     (lambda r: {**r, "launch_date": 20190101}, "bad_date"),
+    (lambda r: {**r, "launch_date": "20190101"}, "bad_date"),
+    (lambda r: {**r, "launch_date": "2019W011"}, "bad_date"),
+    (lambda r: {**r, "launch_date": "2019-W01-1"}, "bad_date"),
     (lambda r: {**r, "goal_amount": 10 ** 400}, "bad_number"),
     (lambda r: {**r, "goal_amount": 1e-300, "raised_amount": 1e10}, "InvalidRatio"),
     (lambda r: json.dumps(r)[:-1] + ', "note": 1' + "0" * 5000 + "}", "bad_json"),
 ], ids=["title-null", "state-int", "city-object", "id-int", "cover-image-int", "launch-date-int",
+        "launch-date-compact", "launch-date-week", "launch-date-extended-week",
         "goal-401-digits", "ratio-overflows", "int-5001-digits"])
 def test_ingest_rejects_an_off_type_line_and_goes_on(snapshot_file, campaign_record, tmp_path,
                                                      bad, reason):

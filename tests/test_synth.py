@@ -9,7 +9,7 @@ import pytest
 from fundlens.core import Campaign, GoalBand, assign_goal_band
 from fundlens.errors import SpecError
 from fundlens.features import build_feature_matrix
-from fundlens.images import StubFaceProvider, load_precomputed_quality
+from fundlens.images import StubFaceProvider, load_precomputed_quality, write_faces
 from fundlens.ingest import load_campaigns, load_population_table
 from fundlens.stats import pearson_r
 from fundlens.synth import Cell, Interaction, PlantedEffect, SynthSpec, generate_dataset, write_dataset
@@ -127,20 +127,7 @@ def test_write_dataset_is_pinned(registry, lexicon, tmp_path):
     assert _written_digests(ds, tmp_path) == {
         "campaigns.jsonl": "a29ece5fc58f3b5de7888f77d0794a766bfd07f3021d2c05c2858d0044b23dcd",
         "census.csv": "93032fff06ff71ae2ae4a79fee93f2decf3f2247abc08df2105ca941894b980e",
-        "images/img_c000001.ppm.faces.json":
-            "e287841531a2d20314027f7b0dbbd7f7c5edd27bb106e9b193a6b1ee69d5653e",
-        "images/img_c000002.ppm.faces.json":
-            "68db2ab154aa52129d894da8d0c9696352144ad857cd373d918df0c5395d5a75",
-        "images/img_c000003.ppm.faces.json":
-            "96ba4a246ecfd201f09f58ada150a4eff81b16ae255258488fa5fc8febeed411",
-        "images/img_c000004.ppm.faces.json":
-            "6000b482cb06a52a5de4422a772c0440bae842ffe7f097b77efb2dea672fc664",
-        "images/img_c000005.ppm.faces.json":
-            "bf5920627e3851212536d1314db14ae9d966bd03752cc2ec67fa21ff1ba00c48",
-        "images/img_c000006.ppm.faces.json":
-            "622275f950a3110201fe560e312ec58f4be4e17955544faf379e6c8fdba82a1b",
-        "images/img_c000007.ppm.faces.json":
-            "de78755074db772ab61e5ad5a5797d546242baeca87f8d9d40d3c4b0dab62fe9",
+        "faces.jsonl": "5bb84568ada11d7945d73b0a0e4794e7064dbc7de34eb9d46ee32f7a0359ca4a",
         "manifest.json": "924e7a8a3a89038aa999aeb44fe2a5355f6188eed1481251a0c59e904ef04cbf",
         "quality.csv": "a5ec55b728c0fdf75a71bbf5bcc497c54ac2d7f2e45b0173587d37d44c3d8c1b",
     }
@@ -160,16 +147,7 @@ _EDGE_SPECS = {
     ), {
         "campaigns.jsonl": "cc6535243bcf1d570080d7fc55fd7e91ec52303eae1d5921ca71bc22a5ae5568",
         "census.csv": "21c4dab513d7c2661c378eb066b5f988b3aa5a1d8c1e89c9245c23b9a9a07f65",
-        "images/img_c000001.ppm.faces.json":
-            "b6a509d5d7f0ebd6325721016cecad7a4261d1c9b31416e784247424752aefa6",
-        "images/img_c000002.ppm.faces.json":
-            "99c996375f843ef1d2395cd8b59b3d7d1a6ec64db2f8f3add24a6a7809b40301",
-        "images/img_c000003.ppm.faces.json":
-            "5d954e362b2502efa840bbf22d93dd397e6096e3a5f3e5a20d0c7ea2c057bbcf",
-        "images/img_c000004.ppm.faces.json":
-            "56c5d1e7eb632951405cfbb5268602ab3fcf4db86d4a82d65014fbcac6ad5883",
-        "images/img_c000005.ppm.faces.json":
-            "8324c04a890ed25fed5e5c7a1b298a7dde04a00fc59487874b66b9e5242dc340",
+        "faces.jsonl": "bc48b1de2b5685d38fc9da902425d207d80c0c35566ee3c453c498a4fbd1ffba",
         "manifest.json": "502bd8899c012580f07fd5420f20bf3c6395573caefb9036fb3eac0cc31a2893",
         "quality.csv": "03d287265734b31ae602ae8f419261cbd74a42fd050e2d999023b3165e12be0b",
     }),
@@ -180,12 +158,7 @@ _EDGE_SPECS = {
     ), {
         "campaigns.jsonl": "dce6c1f2c7980a523473e2c8a4291ce9dcbef1e704ccc215cd12c3f7bc09ac1e",
         "census.csv": "21c4dab513d7c2661c378eb066b5f988b3aa5a1d8c1e89c9245c23b9a9a07f65",
-        "images/img_c000001.ppm.faces.json":
-            "96f9a6829f1f523cb57f6f6711b747e19daaae5043e17caccda2a17cf7d80303",
-        "images/img_c000002.ppm.faces.json":
-            "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-        "images/img_c000003.ppm.faces.json":
-            "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        "faces.jsonl": "01b390fdcadb6c4869d4ef5262200ffefd1aca1b6c2c9c4c6e232add77e20833",
         "manifest.json": "88dc5f54ae6b18de9763bd8485760ae5f201a9e9679d47693441f64014d71f41",
         "quality.csv": "31ae5689f532230d74996a7fea5c213d7d8182d648f8cd5f28748a058c21875b",
     }),
@@ -343,14 +316,36 @@ def test_write_dataset_outputs(registry, lexicon, tmp_path):
     ds = generate_dataset(_spec(cells=[Cell("B1", "Other", 20)]), seed=2,
                           lexicon=lexicon, registry=registry)
     paths = write_dataset(ds, tmp_path)
-    for key in ("campaigns", "census", "quality", "manifest"):
+    for key in ("campaigns", "census", "quality", "faces", "manifest"):
         assert Path(paths[key]).exists()
     manifest = json.loads(Path(paths["manifest"]).read_text())
     assert manifest["n_campaigns"] == 20
-    # every campaign with faces has a readable sidecar
+    # every campaign with faces has a readable line in faces.jsonl
     provider = StubFaceProvider(paths["sidecar_root"])
     refs = [c["cover_image"] for c in ds.campaigns if c["cover_image"]]
     assert any(provider.analyze(ref) for ref in refs)
+
+
+def test_faces_jsonl_round_trips_every_image(registry, lexicon, tmp_path):
+    ds = generate_dataset(_spec(cells=[Cell("B1", "Other", 60)]), seed=3,
+                          lexicon=lexicon, registry=registry)
+    write_faces(tmp_path, ds.faces)
+    assert any(ds.faces.values()) and not all(ds.faces.values())
+    provider = StubFaceProvider(tmp_path)
+    for ref, faces in ds.faces.items():
+        assert provider.analyze(ref) == faces
+    assert provider.analyze("images/unknown.ppm") == []
+
+
+@pytest.mark.parametrize("n", [1, 40])
+def test_write_dataset_writes_five_files_whatever_the_cohort_size(registry, lexicon, tmp_path, n):
+    # The provider output is one faces.jsonl, not one file per image.
+    ds = generate_dataset(_spec(cells=[Cell("B2", "Other", n)]), seed=1,
+                          lexicon=lexicon, registry=registry)
+    write_dataset(ds, tmp_path)
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "campaigns.jsonl", "census.csv", "faces.jsonl", "manifest.json", "quality.csv"]
+    assert len((tmp_path / "faces.jsonl").read_text(encoding="utf-8").splitlines()) == n
 
 
 def test_emotions_sum_to_100(registry, lexicon):
