@@ -26,7 +26,7 @@ from .core import BANDS, LABEL_KEYS, MAX_GOAL, MAX_RATIO, Campaign, CategoryRegi
 from .errors import ConfigError, DataError, FundlensError, SchemaError, utf8_input
 from .experiment import Setting, assemble, labeled_bands, run_experiment
 from .features import FeatureMatrix, apply_imputation, build_feature_matrix, impute_with_indicators
-from .images import StubFaceProvider, load_precomputed_quality
+from .images import StubFaceProvider, is_finite_number, load_precomputed_quality
 from .ingest import load_campaigns, load_population_table
 from .stats import screen
 from .synth import SynthSpec, generate_dataset, write_dataset
@@ -302,34 +302,29 @@ _SCREEN_MODALITIES = ("text", "image_quality", "face", "population")
 
 def _screen_all(matrix: FeatureMatrix, labels, cfg: RunConfig):
     """Screen every (band, category, modality) cell; returns (rows, notes)."""
-    ratios, bands = labels["ratio"], labels["goal_band"]
-    analysis = [i for i, (b, r) in enumerate(zip(bands, ratios.tolist()))
-                if b is not None and r <= MAX_RATIO]
+    ratios, bands = labels["ratio"], np.asarray(labels["goal_band"], dtype=object)
+    analysis = ratios <= MAX_RATIO
     # Category of each row comes from the one-hot basic columns.
-    cat_cols = [(j, matrix.names[j][4:]) for j in range(len(matrix.names))
-                if matrix.names[j].startswith("cat_")]
+    cat_cols = sorted((name[4:], j) for j, name in enumerate(matrix.names) if name.startswith("cat_"))
+    # Each modality's screened columns: its features, not its missingness indicators.
+    columns = {}
+    for modality in _SCREEN_MODALITIES:
+        cols = [k for k, m in enumerate(matrix.modalities)
+                if m == modality and not matrix.names[k].endswith("_missing")]
+        if cols:
+            columns[modality] = (cols, [matrix.names[k] for k in cols])
     all_rows = []
     all_notes = []
     for band in BANDS:
-        band_rows = [i for i in analysis if bands[i] == band]
-        for j, cat in sorted(cat_cols, key=lambda t: t[1]):
-            cell = [i for i in band_rows if matrix.values[i, j] == 1.0]
-            if not cell:
+        in_band = analysis & (bands == band)
+        for cat, j in cat_cols:
+            cell = np.flatnonzero(in_band & (matrix.values[:, j] == 1.0))
+            if not cell.size:
                 continue
-            cell_idx = np.asarray(cell, dtype=np.intp)
-            for modality in _SCREEN_MODALITIES:
-                cols = [k for k, m in enumerate(matrix.modalities)
-                        if m == modality and not matrix.names[k].endswith("_missing")]
-                if not cols:
-                    continue
-                rows, notes = screen(
-                    matrix.values[np.ix_(cell_idx, cols)],
-                    [matrix.names[k] for k in cols],
-                    ratios[cell_idx],
-                    band=band, category=cat, alpha=cfg.alpha,
-                )
-                for r in rows:
-                    all_rows.append((modality, r))
+            for modality, (cols, names) in columns.items():
+                rows, notes = screen(matrix.values[np.ix_(cell, cols)], names, ratios[cell],
+                                     band=band, category=cat, alpha=cfg.alpha)
+                all_rows.extend((modality, r) for r in rows)
                 all_notes.extend(f"{modality}: {n}" for n in notes)
     return all_rows, all_notes
 
@@ -414,13 +409,20 @@ def _fit_band(args):
 
 def _load_band_model(model_dir: Path, band: str):
     """A band's forest and the feature layout it was trained on."""
-    model = rf.RandomForest.load(model_dir / f"{band}.json")
-    meta_path = model_dir / f"{band}_meta.json"
+    model_path, meta_path = model_dir / f"{band}.json", model_dir / f"{band}_meta.json"
+    model = rf.RandomForest.load(model_path)
+    labels = model.labels
+    if labels.ndim != 1 or labels.dtype.kind != "i" or np.unique(labels).size != labels.size:
+        raise SchemaError(f"{model_path}: labels are not distinct integer classes; retrain")
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         base_names, medians, out_names = meta["base_names"], meta["medians"], meta["out_names"]
     except (KeyError, TypeError, ValueError):
         raise SchemaError(f"{meta_path} is not a model layout this version reads; retrain") from None
+    if not (isinstance(base_names, list) and all(isinstance(n, str) for n in base_names)
+            and isinstance(medians, dict) and sorted(medians) == sorted(base_names)
+            and all(map(is_finite_number, medians.values()))):
+        raise SchemaError(f"{meta_path}: base_names must be strings, each with a finite median; retrain")
     if list(model.feature_names) != out_names:
         raise SchemaError(f"{meta_path} does not describe the columns of {band}.json; retrain")
     return model, base_names, medians, out_names
@@ -430,7 +432,7 @@ def cmd_predict(cfg: RunConfig, paths: dict, campaign_file: str) -> int:
     registry = _registry(cfg)
     model_dir = paths["models"]
     src = _require(Path(campaign_file), "campaign file")
-    campaigns, _ = load_campaigns(src, registry)
+    campaigns, report = load_campaigns(src, registry)
     matrix = build_feature_matrix(campaigns, registry, **_feature_inputs(cfg))
     models = {band: _load_band_model(model_dir, band) for band in BANDS
               if (model_dir / f"{band}.json").is_file()}
@@ -461,7 +463,8 @@ def cmd_predict(cfg: RunConfig, paths: dict, campaign_file: str) -> int:
         writer.writerow(["id", "goal_band", "predicted_class", "probability",
                          "top_features", "imputed_features"])
         writer.writerows(rows)
-    print(f"predict: {len(campaigns)} campaigns -> {paths['predictions']}")
+    rejected = "".join(f" {reason}={n}" for reason, n in sorted(report.reasons.items()))
+    print(f"predict: {len(campaigns)} campaigns rejected={report.rejected}{rejected} -> {paths['predictions']}")
     return 0
 
 

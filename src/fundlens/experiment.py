@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
@@ -44,29 +44,29 @@ SETTING_MODALITIES = {
 LATE_FUSION_GROUPS = (("text",), ("image_quality", "face"))
 
 
-def _columns(matrix: FeatureMatrix, modalities, screened_names=None) -> FeatureMatrix:
-    """The columns of some modalities, optionally gated to screened features.
+def _columns(matrix: FeatureMatrix, modalities, screened_names=None) -> list:
+    """The names of the columns of some modalities, optionally gated to screened features.
 
     In screened mode only features found significant for the cell are kept
     (the two-step screen-then-classify procedure); basic columns and
     missingness indicators are never gated, since screening covers the
     non-basic feature columns.
     """
-    sub = matrix.select_modalities(modalities)
-    if screened_names is not None:
-        keep = [
-            n for n, m in zip(sub.names, sub.modalities)
-            if m == "basic" or n in screened_names or n.endswith("_missing")
-        ]
-        sub = sub.select_names(keep)
-    return sub
+    picked = [(n, m) for n, m in zip(matrix.names, matrix.modalities) if m in modalities]
+    if not picked:
+        raise EmptySetting(f"no columns for modalities {tuple(modalities)}")
+    names = [n for n, m in picked if screened_names is None
+             or m == "basic" or n in screened_names or n.endswith("_missing")]
+    if not names:
+        raise EmptySetting("no columns left after name filter")
+    return names
 
 
 def assemble(matrix: FeatureMatrix, setting: Setting, screened_names=None) -> FeatureMatrix:
     """Column filter for a single-model setting; see _columns for the gate."""
     if setting == Setting.LATE_FUSION:
         raise EmptySetting("LateFusion assembles per modality group; use assemble per group")
-    return _columns(matrix, SETTING_MODALITIES[setting], screened_names)
+    return matrix.select_names(_columns(matrix, SETTING_MODALITIES[setting], screened_names))
 
 
 def late_fuse_proba(models, xs) -> np.ndarray:
@@ -107,15 +107,9 @@ def stratified_kfold(y, k: int = 10, seed: int = 0):
         k_eff = max(2, min_count)
         note = f"k lowered from {k} to {k_eff}: smallest class has {min_count} members"
     rng = np.random.default_rng(seed)
-    folds = [[] for _ in range(k_eff)]
-    cursor = 0
-    for label in labels:
-        idx = np.flatnonzero(y == label)
-        rng.shuffle(idx)
-        for i in idx:
-            folds[cursor % k_eff].append(int(i))
-            cursor += 1
-    return [np.asarray(sorted(f), dtype=np.intp) for f in folds], note
+    # Each class's rows, shuffled, are dealt round-robin onto the folds.
+    dealt = np.concatenate([rng.permutation(np.flatnonzero(y == label)) for label in labels])
+    return [np.sort(dealt[f::k_eff]) for f in range(k_eff)], note
 
 
 @dataclass(frozen=True)
@@ -217,35 +211,15 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
     def to_json_text(self) -> str:
-        def metrics_dict(m: Metrics):
-            return {
-                "accuracy": m.accuracy, "precision": m.precision,
-                "recall": m.recall, "f1": m.f1,
-                "per_class": {str(k): v for k, v in m.per_class.items()},
-                "support": {str(k): v for k, v in m.support.items()},
-                "zero_division": m.zero_division,
-            }
+        def as_json(row: ReportRow, **cv):
+            holdout = asdict(row.holdout)
+            for k in ("per_class", "support"):
+                holdout[k] = {str(label): v for label, v in holdout[k].items()}
+            return {"goal_band": row.goal_band, "setting": row.setting, "n_train": row.n_train,
+                    "n_test": row.n_test, "holdout": holdout, **cv}
 
-        payload = {
-            "header": self.header,
-            "rows": [
-                {
-                    "goal_band": r.goal_band, "setting": r.setting,
-                    "n_train": r.n_train, "n_test": r.n_test,
-                    "holdout": metrics_dict(r.holdout), "cv": r.cv,
-                }
-                for r in self.rows
-            ],
-            "totals": [
-                {
-                    "goal_band": r.goal_band, "setting": r.setting,
-                    "n_train": r.n_train, "n_test": r.n_test,
-                    "holdout": metrics_dict(r.holdout),
-                }
-                for r in self.totals
-            ],
-            "notes": self.notes,
-        }
+        payload = {"header": self.header, "rows": [as_json(r, cv=r.cv) for r in self.rows],
+                   "totals": [as_json(r) for r in self.totals], "notes": self.notes}
         return json.dumps(payload, sort_keys=True, indent=1)
 
 
@@ -257,10 +231,8 @@ def _derived_seed(*parts) -> int:
 def _model_columns(matrix: FeatureMatrix, setting: Setting, screened_names=None) -> tuple:
     """Column names of each model a setting trains: one model, or one per
     late-fusion group. Raises EmptySetting when a model would have none."""
-    if setting == Setting.LATE_FUSION:
-        return tuple(tuple(_columns(matrix, group, screened_names).names)
-                     for group in LATE_FUSION_GROUPS)
-    return (tuple(assemble(matrix, setting, screened_names).names),)
+    groups = LATE_FUSION_GROUPS if setting == Setting.LATE_FUSION else (SETTING_MODALITIES[setting],)
+    return tuple(tuple(_columns(matrix, group, screened_names)) for group in groups)
 
 
 @dataclass(frozen=True)
@@ -338,7 +310,7 @@ def run_experiment(bands, labels, matrix: FeatureMatrix, cfg: RunConfig, header:
         if note:
             notes.append(f"{band} holdout: {note}")
         test_rows = folds[0]
-        train_rows = np.asarray(sorted(set(range(idx.size)) - set(test_rows.tolist())), dtype=np.intp)
+        train_rows = np.setdiff1d(np.arange(idx.size), test_rows)
         y_train = y_band[train_rows]
         screened_names = None if screened_by_band is None else screened_by_band.get(band, set())
         settings = cfg.settings if band in cfg.full_settings_bands else (Setting.BASIC,)
@@ -357,7 +329,7 @@ def run_experiment(bands, labels, matrix: FeatureMatrix, cfg: RunConfig, header:
                 if cv_note:
                     notes.append(f"{band}/{setting.value} cv: {cv_note}")
                 for fi, fold in enumerate(cv_folds):
-                    tr = np.asarray(sorted(set(range(y_train.size)) - set(fold.tolist())), dtype=np.intp)
+                    tr = np.setdiff1d(np.arange(y_train.size), fold)
                     tasks.append(_FitTask(sub, y_band, train_rows[tr], train_rows[fold], columns,
                                           forest, (cfg.seed, band, setting.value, "cv", fi)))
             planned.append((band, setting, train_rows.size, test_rows.size, slice(first, len(tasks))))

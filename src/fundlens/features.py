@@ -46,17 +46,6 @@ class FeatureMatrix:
                 f"{len(self.ids)} ids x {len(self.names)} names"
             )
 
-    def select_modalities(self, modalities) -> "FeatureMatrix":
-        keep = [j for j, m in enumerate(self.modalities) if m in modalities]
-        if not keep:
-            raise EmptySetting(f"no columns for modalities {tuple(modalities)}")
-        return FeatureMatrix(
-            ids=self.ids,
-            names=[self.names[j] for j in keep],
-            modalities=[self.modalities[j] for j in keep],
-            values=self.values[:, keep],
-        )
-
     def select_names(self, names) -> "FeatureMatrix":
         wanted = set(names)
         keep = [j for j, n in enumerate(self.names) if n in wanted]

@@ -347,6 +347,10 @@ class RandomForest:
                     or t.counts.shape != (n, labels.size)):
                 raise bad(f"tree {i}: a feature index outside [-1, {len(feature_names)}) "
                           f"or counts not of shape ({n}, {labels.size})")
+            if not (np.isfinite(t.threshold).all() and np.isfinite(t.counts).all()
+                    and (t.counts >= 0).all() and (t.counts.sum(axis=1) > 0).all()):
+                raise bad(f"tree {i}: a threshold or count that is not finite, a negative count, "
+                          "or a node that counts no sample")
             # A child after its node also rules out a cycle.
             if any(((c[inner] <= inner) | (c[inner] >= n)).any() for c in (t.left, t.right)):
                 raise bad(f"tree {i}: a child index is not after its node")

@@ -59,15 +59,19 @@ class CampaignFaceFeatures:
     mean_emotion: Optional[dict] = None
 
 
-def _number(v, *what) -> float:
-    """``v`` as a float: a finite int or float and never a bool, the rule of
-    ``Campaign.from_record``; anything else is a SchemaError naming ``what``."""
+def is_finite_number(v) -> bool:
+    """A finite int or float and never a bool, the rule of ``Campaign.from_record``."""
     try:
-        if isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v):
-            return float(v)
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
     except OverflowError:  # an int beyond the float range
-        pass
-    raise SchemaError(f"{' '.join(what)} must be a finite number")
+        return False
+
+
+def _number(v, *what) -> float:
+    """``v`` as a float if it is a finite number; otherwise a SchemaError naming ``what``."""
+    if not is_finite_number(v):
+        raise SchemaError(f"{' '.join(what)} must be a finite number")
+    return float(v)
 
 
 #: A face as floats: male, age, both beauty scores, smile, then the emotion

@@ -149,13 +149,6 @@ class TextFeatures:
     word_count: int
     percentages: dict  # category name -> 100 * hits / word_count
 
-    def validate(self) -> None:
-        if self.word_count < 0:
-            raise SchemaError("negative word_count")
-        for name, pct in self.percentages.items():
-            if not math.isfinite(pct) or not (0.0 <= pct <= 100.0):
-                raise SchemaError(f"percentage out of range for {name!r}: {pct}")
-
 
 def extract(text: str, lexicon: Lexicon) -> TextFeatures:
     """Per-category percentages of matching tokens.
@@ -178,9 +171,7 @@ def extract(text: str, lexicon: Lexicon) -> TextFeatures:
         percentages = {name: 0.0 for name in lexicon.categories}
     else:
         percentages = {name: 100.0 * h / n for name, h in zip(lexicon.categories, hits)}
-    feats = TextFeatures(word_count=n, percentages=percentages)
-    feats.validate()
-    return feats
+    return TextFeatures(word_count=n, percentages=percentages)
 
 
 def clout_surrogate(features: TextFeatures, scale: float = CLOUT_SCALE) -> float:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import random
@@ -94,6 +95,70 @@ def test_evaluate_writes_report_and_is_deterministic(pipeline_dir):
     assert any(line.startswith("# seed=7") for line in lines)
     assert any(",LIWC," in line for line in lines)
     assert any(line.startswith("Total(Weighted),") for line in lines)
+
+
+#: Two categories in B1, four cells of 9 in B3 (too small to screen, so B3
+#: keeps no text feature in screened mode) and four-class targets whose small
+#: classes lower k.
+_PROTOCOL_SPEC = {
+    "cells": [
+        {"band": "B1", "category": "Other", "n": 60},
+        {"band": "B1", "category": "Medical, Illness & Healing", "n": 50},
+        {"band": "B2", "category": "Animals & Pets", "n": 40},
+        *({"band": "B3", "category": c, "n": 9}
+          for c in ("Other", "Animals & Pets", "Education & Learning", "Sports, Teams & Clubs")),
+    ],
+    "effects": [
+        {"feature": "insight", "modality": "text", "slope": -0.25},
+        {"feature": "technical", "modality": "image_quality", "slope": 0.2},
+        {"feature": "num_faces", "modality": "face", "slope": 0.15},
+    ],
+    "noise_sigma": 0.2,
+    "words_per_description": 40,
+}
+
+#: sha256 of screen's and evaluate's files for _PROTOCOL_SPEC at seed 3. Like
+#: tests/test_synth.py::test_write_dataset_is_pinned they follow NumPy's
+#: Generator streams: re-pin only after a NumPy upgrade, with a note in CHANGES.md.
+_PROTOCOL_DIGESTS = {
+    "screening.csv": "658395c392162a55b3fc5cc1ae7de97080af6ec54843e9402f12d8c8ebea2a53",
+    "screening_notes.json": "c323470bb98a2ca82d12be7e030a8412b341d596f332e63bfd7c36f9c269c5b6",
+    "all-features/report.csv": "162e2feeb9f8e28cce06fc993968f861d17c0fee03672ff6ba3d03871f175642",
+    "all-features/report.json": "1d277ceec8dfcada9e5a8cd93f518ba2c0d3e1ea300b52a608dc1a1202a27751",
+    "screened/report.csv": "471c639bafb0f138a96e844b3c8a0c77bfc7d6c25b88c72c3fc046acbe88c221",
+    "screened/report.json": "53de9a7bc8a65ccd6ebea49f5dbbf0be539ec476346aba7abf0ce5f5cc9557fe",
+}
+
+
+def test_screen_and_evaluate_outputs_are_pinned(tmp_path):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(_PROTOCOL_SPEC))
+    data, out = tmp_path / "data", tmp_path / "out"
+    base = ["--seed", "3", "--out", str(out), "--campaigns", str(data / "campaigns.jsonl"),
+            "--census", str(data / "census.csv"), "--quality-scores", str(data / "quality.csv"),
+            "--sidecar-root", str(data)]
+    assert main(["synth", *base, "--out", str(data), str(spec_file)]) == 0
+    # Every 10th campaign raises three times its goal: a ratio above 2.5,
+    # which screening leaves out and which has no class.
+    records = [json.loads(line) for line in (data / "campaigns.jsonl").read_text().splitlines()]
+    for r in records[::10]:
+        r["raised_amount"] = 3 * r["goal_amount"]
+    (data / "campaigns.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    for stage in ("ingest", "featurize", "screen"):
+        assert main([stage, *base]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("screening.csv", "screening_notes.json")}
+    forest = ["--trees", "3", "--max-depth", "4", "--full-settings-bands", "B1,B2,B3"]
+    for run, flags in (("all-features", ["--cv-folds", "3"]),
+                       ("screened", ["--assembly", "screened", "--target", "four-class"])):
+        assert main(["evaluate", *base, *forest, *flags]) == 0
+        for name in ("report.csv", "report.json"):
+            digests[f"{run}/{name}"] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    notes = [line for line in (out / "report.csv").read_text().splitlines() if line.startswith("# note")]
+    # the paths the spec is here for are taken
+    assert "# note: skipped B3/LateFusion: no columns left after name filter" in notes
+    assert any("B1/LateFusion cv: k lowered" in note for note in notes)
+    assert digests == _PROTOCOL_DIGESTS
 
 
 def test_train_and_predict(pipeline_dir):
@@ -654,6 +719,14 @@ def _no_trees_config(text):
     return json.dumps(payload)
 
 
+def _labels(labels):
+    def corrupt(text):
+        payload = json.loads(text)
+        payload["labels"] = labels
+        return json.dumps(payload)
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt", [
     _truncate,
     _drop_trees,
@@ -661,8 +734,16 @@ def _no_trees_config(text):
     _corrupt_tree("left", lambda t: [0] + t["left"][1:]),  # the root as its own child: a cycle
     _corrupt_tree("counts", lambda t: [row + [0.0] for row in t["counts"]]),
     _no_trees_config,
+    _labels(["a", "b"]),
+    _labels([[-2], [2]]),
+    _labels([2, 2]),
+    _corrupt_tree("counts", lambda t: [[0.0] * len(row) for row in t["counts"]]),
+    _corrupt_tree("counts", lambda t: [[-1.0, *row[1:]] for row in t["counts"]]),
+    _corrupt_tree("counts", lambda t: [[float("nan"), *row[1:]] for row in t["counts"]]),
+    _corrupt_tree("threshold", lambda t: [float("nan")] * len(t["threshold"])),
 ], ids=["truncated", "no-trees", "feature-out-of-range", "child-not-after-node", "counts-width",
-        "bad-config"])
+        "bad-config", "string-labels", "nested-labels", "repeated-labels", "zero-counts",
+        "negative-count", "nan-count", "nan-threshold"])
 def test_corrupt_model_exits_3_before_writing(pipeline_dir, served, tmp_path, capsys, corrupt):
     root, out, base = pipeline_dir
     models, batch = served
@@ -677,6 +758,57 @@ def test_corrupt_model_exits_3_before_writing(pipeline_dir, served, tmp_path, ca
     assert str(model) in err and err.rstrip().endswith("retrain")
     assert "Traceback" not in err
     assert predictions.read_text() == "untouched\n"
+
+
+def _meta(field, value):
+    def corrupt(meta):
+        meta[field] = value(meta)
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [
+    _meta("medians", lambda m: list(m["medians"].values())),
+    _meta("medians", lambda m: {n: str(v) for n, v in m["medians"].items()}),
+    _meta("medians", lambda m: dict.fromkeys(m["medians"])),
+    _meta("medians", lambda m: dict.fromkeys(m["medians"], True)),
+    _meta("medians", lambda m: dict.fromkeys(m["medians"], 10**400)),
+    _meta("medians", lambda m: dict.fromkeys(m["medians"], float("nan"))),
+    _meta("medians", lambda m: {**m["medians"], "extra": 0.0}),
+    _meta("base_names", lambda m: 5),
+    _meta("base_names", lambda m: [*m["base_names"][:-1], 5]),
+], ids=["medians-list", "string-medians", "null-medians", "bool-medians", "huge-medians",
+        "nan-medians", "extra-median", "base-names-int", "base-name-int"])
+def test_corrupt_model_meta_exits_3_before_writing(pipeline_dir, served, tmp_path, capsys, corrupt):
+    root, out, base = pipeline_dir
+    models, batch = served
+    broken = tmp_path / "models"
+    shutil.copytree(models, broken)
+    meta_path = broken / "B1_meta.json"
+    meta = json.loads(meta_path.read_text())
+    corrupt(meta)
+    meta_path.write_text(json.dumps(meta))
+    predictions = tmp_path / "predictions.csv"
+    predictions.write_text("untouched\n")
+    assert main(["predict", *base, "--out", str(tmp_path), "--models", str(broken), str(batch)]) == 3
+    err = capsys.readouterr().err
+    assert str(meta_path) in err and err.rstrip().endswith("retrain")
+    assert "Traceback" not in err
+    assert predictions.read_text() == "untouched\n"
+
+
+def test_predict_reports_rejected_lines(pipeline_dir, served, tmp_path, capsys):
+    root, out, base = pipeline_dir
+    models, batch = served
+    good = batch.read_text().splitlines()[:2]
+    foreign = json.loads(good[0])
+    foreign.update(id="abroad", country="CA")
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("\n".join([good[0], json.dumps(foreign), "{not json", good[1]]) + "\n")
+    capsys.readouterr()
+    assert main(["predict", *base, "--out", str(tmp_path), "--models", str(models), str(mixed)]) == 0
+    line = capsys.readouterr().out
+    assert line.startswith("predict: 2 campaigns rejected=2 bad_json=1 non_us=1 -> ")
+    assert list(_predictions(tmp_path / "predictions.csv")) == ["fresh0", "fresh1"]
 
 
 def test_screened_four_class_models_serve_the_screened_features(pipeline_dir, tmp_path):

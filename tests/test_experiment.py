@@ -132,6 +132,20 @@ def test_stratified_kfold_deterministic():
     assert any(not np.array_equal(x, z) for x, z in zip(a, c))
 
 
+def _kfold_by_loop(y, k, seed):
+    """stratified_kfold's folds dealt one row at a time: its reference."""
+    rng = np.random.default_rng(seed)
+    folds = [[] for _ in range(k)]
+    cursor = 0
+    for label in np.unique(y):
+        idx = np.flatnonzero(y == label)
+        rng.shuffle(idx)
+        for i in idx:
+            folds[cursor % k].append(int(i))
+            cursor += 1
+    return [sorted(f) for f in folds]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=20, max_size=120),
@@ -141,6 +155,8 @@ def test_stratified_kfold_deterministic():
 def test_stratified_kfold_properties(ys, k, seed):
     y = np.array(ys)
     folds, _ = stratified_kfold(y, k=k, seed=seed)
+    assert all(f.dtype == np.intp for f in folds)
+    assert [f.tolist() for f in folds] == _kfold_by_loop(y, len(folds), seed)
     # disjoint cover of all indices
     all_idx = np.concatenate(folds)
     assert sorted(all_idx.tolist()) == list(range(len(ys)))

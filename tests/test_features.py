@@ -6,6 +6,7 @@ import pytest
 
 from fundlens.core import Campaign
 from fundlens.errors import EmptySetting, SchemaError
+from fundlens.experiment import Setting, _model_columns, assemble
 from fundlens.features import (
     FeatureMatrix,
     _state_code,
@@ -46,12 +47,14 @@ def test_matrix_selectors_and_column():
         values=np.arange(6, dtype=float).reshape(2, 3),
     )
     np.testing.assert_array_equal(m.column("y"), [1.0, 4.0])
-    sub = m.select_modalities(("text", "face"))
-    assert sub.names == ["y", "z"]
+    sub = assemble(m, Setting.FACE)
+    assert sub.names == ["z"]
+    np.testing.assert_array_equal(sub.values, [[2.0], [5.0]])
+    assert _model_columns(m, Setting.LATE_FUSION) == (("y",), ("z",))
     rows = m.take_rows([1])
     assert rows.ids == ["b"]
     with pytest.raises(EmptySetting):
-        m.select_modalities(("population",))
+        assemble(m, Setting.POPULATION)
 
 
 def test_matrix_save_load_roundtrip(tmp_path):
