@@ -235,7 +235,11 @@ class Campaign:
             raise ParseError("record is not a JSON object", "not_an_object")
         if not _REQUIRED <= obj.keys():
             raise SchemaError(f"missing keys {sorted(_REQUIRED - obj.keys())}", "missing_key")
-        values = {}
+        # filled in place: the frozen __init__ pays one object.__setattr__ call a
+        # field, and update() of an empty __dict__ would give every instance its own
+        # key table in place of the one its class shares
+        campaign = object.__new__(cls)
+        values = campaign.__dict__
         for name, types, convert, reason in _CODEC:
             v = obj.get(name)
             try:
@@ -244,7 +248,6 @@ class Campaign:
                 values[name] = convert(v) if convert else v
             except (TypeError, ValueError, OverflowError):
                 raise ParseError(f"{reason}: {name}", reason) from None
-        campaign = cls(**values)
         campaign.validate(registry)
         return campaign
 

@@ -8,6 +8,7 @@ is ever silently fabricated.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import zipfile
@@ -19,7 +20,7 @@ import numpy as np
 
 from .core import CategoryRegistry
 from .errors import EmptySetting, SchemaError, ShapeError
-from .images import EMOTION_KEYS, aggregate_face_features
+from .images import FACE_COLUMNS
 from .ingest import PopulationTable
 from .text import Lexicon, campaign_text, clout_surrogate, extract
 
@@ -80,12 +81,20 @@ class FeatureMatrix:
         modalities, ``labels``, ``provenance`` and the dataset's sha256; ``load``
         is its only reader) and the write-only export: the CSV at ``.10g`` and
         the modalities and provenance at ``meta_path``."""
+        fmt = ",".join(["%.10g"] * len(self.names))
+        id_cell = io.StringIO()
+        id_writer = csv.writer(id_cell, lineterminator="\n")
         with Path(csv_path).open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["id", *self.names])
+            csv.writer(fh, lineterminator="\n").writerow(["id", *self.names])
             for cid, row in zip(self.ids, self.values):
-                # one row at a time: tolist() of the whole matrix raises peak RSS
-                writer.writerow([cid, *["" if math.isnan(v) else f"{v:.10g}" for v in row.tolist()]])
+                # the id cell as csv quotes it: the row (cid, "") less its ",\n"
+                id_cell.seek(0)
+                id_cell.truncate()
+                id_writer.writerow((cid, ""))
+                # one row at a time: tolist() of the whole matrix raises peak RSS.
+                # NaN is an empty field; the second pass catches adjacent NaNs.
+                cells = f",{fmt % tuple(row.tolist())},".replace(",nan,", ",,").replace(",nan,", ",,")
+                fh.write(f"{id_cell.getvalue()[:-2]}{cells[:-1]}\n")
         meta = {"modalities": {n: m for n, m in zip(self.names, self.modalities)}, **provenance}
         Path(meta_path).write_text(json.dumps(meta, sort_keys=True, indent=1), encoding="utf-8")
         np.savez(npz_path, values=np.asarray(self.values, dtype=np.float64),
@@ -161,16 +170,12 @@ def build_feature_matrix(
     col("aesthetic_score", "image_quality")
     col("technical_score", "image_quality")
     col("image_quality_missing", "image_quality")
-    col("num_faces", "face")
-    col("any_smile", "face")
-    col("is_child", "face")
-    col("face_mean_age", "face")
-    col("face_mean_beauty", "face")
-    for k in EMOTION_KEYS:
-        col(f"face_emotion_{k}", "face")
+    for name in FACE_COLUMNS:
+        col(name, "face")
     col("face_missing", "face")
 
     nan = math.nan
+    faces_missing = [nan] * len(FACE_COLUMNS) + [1.0]  # no cover image or no provider
     values = np.empty((len(campaigns), len(names)))
     ids = []
     for i, c in enumerate(campaigns):
@@ -197,15 +202,10 @@ def build_feature_matrix(
         row += [nan, nan, 1.0] if q is None else [q.aesthetic_score, q.technical_score, 0.0]
 
         if c.cover_image is not None and face_provider is not None:
-            agg = aggregate_face_features(face_provider.analyze(c.cover_image))
-            row += [agg.num_faces, agg.any_smile, agg.is_child]
-            if agg.num_faces > 0:
-                row += [agg.mean_age, agg.mean_beauty, *(agg.mean_emotion[k] for k in EMOTION_KEYS)]
-            else:
-                row += [nan] * (2 + len(EMOTION_KEYS))
+            row += face_provider.analyze(c.cover_image)
             row.append(0.0)
         else:
-            row += [nan] * (5 + len(EMOTION_KEYS)) + [1.0]
+            row += faces_missing
         values[i] = row
 
     return FeatureMatrix(ids=ids, names=names, modalities=modalities, values=values)

@@ -4,7 +4,8 @@ The learned quality model and the commercial face service are out of scope,
 so images enter the pipeline only through their outputs: (a) a table of
 precomputed aesthetic and technical scores (``--quality-scores``) and (b) a
 face provider that reads its offline output, one ``faces.jsonl`` in the
-directory given by ``--sidecar-root``.
+directory given by ``--sidecar-root``, and reduces each image's faces to the
+face columns of the feature matrix as it reads them.
 featurize records which providers it used in ``features_meta.json``.
 """
 
@@ -17,7 +18,6 @@ import os
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from .errors import ParseError, RangeError, SchemaError, utf8_input
 
@@ -49,16 +49,6 @@ class FaceAttributes:
     emotion: dict                 # the 7 canonical keys, scores sum to 100 +- 0.5
 
 
-@dataclass
-class CampaignFaceFeatures:
-    num_faces: int
-    any_smile: int
-    is_child: int
-    mean_age: Optional[float] = None
-    mean_beauty: Optional[float] = None
-    mean_emotion: Optional[dict] = None
-
-
 def is_finite_number(v) -> bool:
     """A finite int or float and never a bool, the rule of ``Campaign.from_record``."""
     try:
@@ -74,24 +64,53 @@ def _number(v, *what) -> float:
     return float(v)
 
 
-#: A face as floats: male, age, both beauty scores, smile, then the emotion
-#: scores in EMOTION_KEYS order.
-_FACE_WIDTH = 5 + len(EMOTION_KEYS)
+#: The face columns of an image, in the order ``StubFaceProvider.analyze`` gives them.
+FACE_COLUMNS = ("num_faces", "any_smile", "is_child", "face_mean_age", "face_mean_beauty",
+                *(f"face_emotion_{k}" for k in EMOTION_KEYS))
+#: The face columns of an image with no face: no mean is defined.
+_NO_FACES = (0.0, 0.0, 0.0) + (math.nan,) * (len(FACE_COLUMNS) - 3)
+
+_GENDERS = frozenset(("male", "female"))
+_BEAUTY_KEYS = frozenset(("female_score", "male_score"))
+_EMOTION_KEYS = frozenset(EMOTION_KEYS)
+#: The types json.loads gives a number; bool is not among them.
+_JSON_NUMBERS = frozenset((int, float))
 
 
 def _face_values(obj) -> tuple:
-    """The _FACE_WIDTH floats of one provider face object; anything off-contract
-    is a SchemaError."""
+    """(smile, age, the mean of both beauty scores, the emotion scores) of one
+    provider face object; anything off-contract is a SchemaError.
+
+    The 10 numbers are checked as one list. A face that fails is checked
+    again one field at a time, so that the error names the first bad field.
+    """
+    try:
+        beauty, emotion, smile = obj["beauty"], obj["emotion"], obj["smile"]["value"]
+        numbers = [obj["age"], beauty["female_score"], beauty["male_score"], *[emotion[k] for k in EMOTION_KEYS]]
+        if (obj["gender"] in _GENDERS and type(smile) is bool and beauty.keys() == _BEAUTY_KEYS
+                and emotion.keys() == _EMOTION_KEYS and _JSON_NUMBERS.issuperset(map(type, numbers))):
+            age, female, male, *scores = map(float, numbers)
+            # NaN fails every comparison, and a NaN or infinite score makes the sum so
+            if (0.0 <= age <= 100.0 and 0.0 <= female <= 100.0 and 0.0 <= male <= 100.0
+                    and min(scores) >= 0.0 and abs(sum(scores) - 100.0) <= 0.5):
+                return (smile, age, (female + male) / 2.0, *scores)
+    except (TypeError, KeyError, OverflowError):  # not an object, a missing key, an int beyond float
+        pass
+    return _checked_face_values(obj)
+
+
+def _checked_face_values(obj) -> tuple:
+    """_face_values one check at a time: a SchemaError names the first bad field."""
     if not isinstance(obj, dict):
         raise SchemaError("face record is not an object")
     gender = obj.get("gender")
-    if gender not in ("male", "female"):
+    if gender not in ("male", "female"):  # a tuple: the gender may be unhashable
         raise SchemaError(f"bad gender: {gender!r}")
     age = _number(obj.get("age"), "age")
     if not 0.0 <= age <= 100.0:
         raise SchemaError(f"age out of [0, 100]: {age!r}")
     beauty = obj.get("beauty")
-    if not isinstance(beauty, dict) or set(beauty) != {"female_score", "male_score"}:
+    if not isinstance(beauty, dict) or beauty.keys() != _BEAUTY_KEYS:
         raise SchemaError("beauty must have exactly female_score and male_score")
     for k, v in beauty.items():
         if not 0.0 <= _number(v, "beauty", k) <= 100.0:
@@ -100,35 +119,29 @@ def _face_values(obj) -> tuple:
     if not isinstance(smile, dict) or not isinstance(smile.get("value"), bool):
         raise SchemaError("smile must be {'value': bool}")
     emotion = obj.get("emotion")
-    if not isinstance(emotion, dict) or set(emotion) != set(EMOTION_KEYS):
+    if not isinstance(emotion, dict) or emotion.keys() != _EMOTION_KEYS:
         raise SchemaError(f"emotion must have exactly the 7 keys {EMOTION_KEYS}")
     scores = [_number(emotion[k], "emotion", k) for k in EMOTION_KEYS]
-    total = 0.0
     for k, v in zip(EMOTION_KEYS, scores):
         if v < 0:
             raise SchemaError(f"emotion {k} must be non-negative")
-        total += v
+    total = sum(scores)
     if abs(total - 100.0) > 0.5:
         raise SchemaError(f"emotion scores sum to {total}, expected 100 +- 0.5")
-    return (gender == "male", age, float(beauty["female_score"]), float(beauty["male_score"]),
-            smile["value"], *scores)
+    return (smile["value"], age, (float(beauty["female_score"]) + float(beauty["male_score"])) / 2.0,
+            *scores)
 
 
-def _face(v) -> FaceAttributes:
-    """The FaceAttributes of _face_values ``v``."""
-    return FaceAttributes(
-        gender="male" if v[0] else "female",
-        age=v[1],
-        beauty_female_rater=v[2],
-        beauty_male_rater=v[3],
-        smile=bool(v[4]),
-        emotion=dict(zip(EMOTION_KEYS, v[5:])),
-    )
-
-
-def parse_face(obj: dict) -> FaceAttributes:
-    """Validate one provider response object; reject anything off-contract."""
-    return _face(_face_values(obj))
+def _face_row(faces) -> tuple:
+    """The FACE_COLUMNS of an image from the _face_values of its faces. Each mean
+    is the builtin sum over the faces in file order, divided by n: the feature
+    artifacts depend on that order of arithmetic, bit for bit."""
+    n = len(faces)
+    if n == 0:
+        return _NO_FACES
+    smiles, ages, beauties, *emotions = zip(*faces)
+    return (n, any(smiles), any(a < CHILD_AGE for a in ages), sum(ages) / n, sum(beauties) / n,
+            *[sum(scores) / n for scores in emotions])
 
 
 #: The face provider's output: one JSON line per image,
@@ -156,20 +169,20 @@ def write_faces(root, faces_by_ref) -> str:
 
 
 class StubFaceProvider:
-    """Offline provider: the faces of each image from <root>/faces.jsonl.
+    """Offline provider: the face columns of each image from <root>/faces.jsonl.
 
     Making one reads the file once and closes it. Every line and face is
-    checked then, and each image's faces are kept in one array of floats: a
-    count, then _FACE_WIDTH floats a face. Parsed records would take several
-    MiB for a cohort. ``analyze`` rebuilds an image's faces from the array.
+    checked then, and each image's faces are reduced to its FACE_COLUMNS,
+    kept in one array of floats, a row per image. ``analyze`` returns an
+    image's row.
     """
 
     tag = "stub-sidecar"
 
     def __init__(self, root):
         path = os.path.join(os.fspath(root), FACES_FILE)
-        self._values = array("d")
-        self._starts = {}  # image_ref -> index of its face count in _values
+        self._rows = array("d")
+        self._starts = {}  # image_ref -> index of its row in _rows
         try:
             fh = open(path, "rb")
         except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
@@ -182,18 +195,16 @@ class StubFaceProvider:
                         raise SchemaError(f"image_ref {ref!r} is on an earlier line too")
                 except SchemaError as exc:
                     raise SchemaError(f"{path}, line {n}: {exc}") from None
-                self._starts[ref] = len(self._values)
-                self._values.append(len(faces))
-                for values in faces:
-                    self._values.extend(values)
+                self._starts[ref] = len(self._rows)
+                self._rows.extend(_face_row(faces))
 
-    def analyze(self, image_ref: str):
-        """The image's faces; [] when faces.jsonl is missing or has no line for it."""
+    def analyze(self, image_ref: str) -> array:
+        """The image's FACE_COLUMNS; those of no face when faces.jsonl is missing
+        or has no line for it."""
         at = self._starts.get(image_ref)
         if at is None:
-            return []
-        stop = at + 1 + int(self._values[at]) * _FACE_WIDTH
-        return [_face(self._values[i:i + _FACE_WIDTH]) for i in range(at + 1, stop, _FACE_WIDTH)]
+            return array("d", _NO_FACES)
+        return self._rows[at:at + len(FACE_COLUMNS)]
 
 
 def _faces_line(line: bytes):
@@ -206,21 +217,6 @@ def _faces_line(line: bytes):
             or not isinstance(record.get("faces"), list)):
         raise SchemaError("not an object with a string image_ref and a faces array")
     return record["image_ref"], [_face_values(obj) for obj in record["faces"]]
-
-
-def aggregate_face_features(faces) -> CampaignFaceFeatures:
-    """Per-campaign aggregation; permutation-invariant in the face list."""
-    n = len(faces)
-    if n == 0:
-        return CampaignFaceFeatures(num_faces=0, any_smile=0, is_child=0)
-    return CampaignFaceFeatures(
-        num_faces=n,
-        any_smile=int(any(f.smile for f in faces)),
-        is_child=int(any(f.age < CHILD_AGE for f in faces)),
-        mean_age=sum(f.age for f in faces) / n,
-        mean_beauty=sum((f.beauty_female_rater + f.beauty_male_rater) / 2.0 for f in faces) / n,
-        mean_emotion={k: sum(f.emotion[k] for f in faces) / n for k in EMOTION_KEYS},
-    )
 
 
 def load_precomputed_quality(path) -> dict:

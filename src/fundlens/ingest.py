@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -107,8 +108,10 @@ class PopulationTable:
 def load_population_table(path) -> PopulationTable:
     """Load a city,state,population CSV.
 
-    Duplicate (city, state) keys keep the larger population: consolidated-city
-    rows dominate their parts.
+    A population is a positive whole number, written as an integer or as a
+    float with no fractional part (``114230.0``); anything else is a
+    ParseError naming the file and line. Duplicate (city, state) keys keep
+    the larger population: consolidated-city rows dominate their parts.
     """
     path = Path(path)
     entries: dict = {}
@@ -119,12 +122,17 @@ def load_population_table(path) -> PopulationTable:
             if col not in cols:
                 raise SchemaError(f"census file missing column {col!r}: {path}")
         for row in reader:
+            raw = row["population"]
             try:
-                pop = int(float(row["population"]))
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"non-numeric population: {row['population']!r}") from exc
-            if pop <= 0:
-                raise ParseError(f"population must be positive, got {pop}")
+                pop = float(raw)
+                problem = ("must be finite" if not math.isfinite(pop) else
+                           "must be positive" if pop <= 0 else
+                           "must be a whole number" if not pop.is_integer() else None)
+            except (TypeError, ValueError):
+                problem = "must be a number"
+            if problem:
+                raise ParseError(f"{path}, line {reader.line_num}: population {problem}, got {raw!r}")
+            pop = int(pop)
             key = normalize_place(row["city"], row["state"])
             if key not in entries or pop > entries[key]:
                 entries[key] = pop

@@ -457,6 +457,66 @@ def test_malformed_faces_jsonl_exits_3(pipeline_dir, tmp_path, capsys, edit):
     assert sorted(p.name for p in work.iterdir()) == ["dataset.jsonl"]
 
 
+@pytest.mark.parametrize("key, value, problem", [
+    ("fear", True, "must be a finite number"),
+    ("sadness", "50", "must be a finite number"),
+    ("surprise", 10**400, "must be a finite number"),
+    ("neutral", float("nan"), "must be a finite number"),
+    ("disgust", float("inf"), "must be a finite number"),
+    ("anger", -1, "must be non-negative"),
+    ("emotion", None, "must have exactly the 7 keys"),
+], ids=["true", "string", "huge-int", "NaN", "Infinity", "negative", "not-an-object"])
+def test_malformed_emotion_exits_3_naming_the_key(pipeline_dir, tmp_path, capsys, key, value, problem):
+    # The emotion scores are checked as one batch; the error still names the
+    # score's key and its faces.jsonl line, here line 2.
+    root, out, base = pipeline_dir
+    lines = (root / "data" / "faces.jsonl").read_bytes().splitlines(keepends=True)
+    emotion = (["happy"] if key == "emotion" else
+               {**_FACE["emotion"], key: value, "happiness": 81.0 if key == "anger" else 80.0})
+    lines[1] = _faces_line([_FACE, {**_FACE, "emotion": emotion}], json.loads(lines[1])["image_ref"])
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "faces.jsonl").write_bytes(b"".join(lines))
+    work = tmp_path / "o"
+    work.mkdir()
+    shutil.copy(out / "dataset.jsonl", work / "dataset.jsonl")
+    rc = main(["featurize", *base, "--out", str(work), "--sidecar-root", str(data)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    named = "emotion" if key == "emotion" else f"emotion {key}"
+    assert err.startswith(f"data error: {data / 'faces.jsonl'}, line 2: {named} {problem}")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in work.iterdir()) == ["dataset.jsonl"]
+
+
+@pytest.mark.parametrize("command", ["featurize", "predict"])
+@pytest.mark.parametrize("population, problem", [
+    ("inf", "must be finite"), ("1e999", "must be finite"), ("nan", "must be finite"),
+    ("-3", "must be positive"), ("2.5", "must be a whole number"), ("many", "must be a number"),
+])
+def test_bad_census_population_exits_3(pipeline_dir, tmp_path, capsys, command, population, problem):
+    # A population that is not a positive whole number is a data error naming
+    # census.csv and its line, never a traceback or a truncated count.
+    root, out, base = pipeline_dir
+    census = tmp_path / "census.csv"
+    rows = (root / "data" / "census.csv").read_text(encoding="utf-8").splitlines()
+    city, state, _ = rows[3].split(",")
+    rows[3] = f"{city},{state},{population}"
+    census.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    work = tmp_path / "o"
+    work.mkdir()
+    shutil.copy(out / "dataset.jsonl", work / "dataset.jsonl")
+    argv = ([command, *base, "--out", str(work), "--census", str(census)] if command == "featurize" else
+            [command, *base, "--out", str(work), "--models", str(work), "--census", str(census),
+             str(root / "data" / "campaigns.jsonl")])
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith(f"data error: {census}, line 4: population {problem}, got {population!r}")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in work.iterdir()) == ["dataset.jsonl"]
+
+
 def test_predict_missing_input_exits_2_before_writing(pipeline_dir, tmp_path, capsys):
     root, out, base = pipeline_dir
     predictions = tmp_path / "predictions.csv"

@@ -1,3 +1,5 @@
+import dataclasses
+import datetime
 import json
 import math
 
@@ -178,3 +180,26 @@ def test_campaign_record_round_trips_through_json(registry, campaign):
     assert Campaign.from_record(record, registry) == campaign
     assert {k: record[k] for k in LABEL_KEYS} == campaign.labels()
     assert Campaign.from_record(record, registry).labels() == campaign.labels()
+
+
+@pytest.mark.parametrize("form", ["snapshot", "dataset", "no-cover-image"])
+def test_from_record_equals_the_keyword_built_campaign(registry, campaign_record, form):
+    # from_record fills the frozen instance's __dict__ without __init__; it must
+    # still behave as the Campaign its keyword constructor builds.
+    fields = {**campaign_record, "launch_date": datetime.date(2019, 6, 1)}
+    if form == "no-cover-image":
+        del campaign_record["cover_image"]
+        fields["cover_image"] = None
+    built = Campaign(**fields)
+    record = json.loads(json.dumps(built.to_record())) if form == "dataset" else campaign_record
+    got = Campaign.from_record(record, registry)
+    assert got == built and not got != built
+    assert hash(got) == hash(built)
+    assert repr(got) == repr(built)
+    assert list(vars(got).items()) == list(vars(built).items())  # to_record's key order
+    assert json.dumps(got.to_record()) == json.dumps(built.to_record())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        got.goal_amount = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del got.title
+    assert got.goal_amount == 5000.0

@@ -1,9 +1,12 @@
+import csv
 import datetime
 import json
+import math
 
 import numpy as np
 import pytest
 
+from face_oracle import face_attributes, face_columns
 from fundlens.core import Campaign
 from fundlens.errors import EmptySetting, SchemaError
 from fundlens.experiment import Setting, _model_columns, assemble
@@ -14,7 +17,7 @@ from fundlens.features import (
     build_feature_matrix,
     impute_with_indicators,
 )
-from fundlens.images import StubFaceProvider, parse_face, write_faces
+from fundlens.images import CHILD_AGE, EMOTION_KEYS, FACE_COLUMNS, StubFaceProvider, write_faces
 from fundlens.ingest import load_population_table
 
 
@@ -108,6 +111,74 @@ def test_save_writes_the_per_value_csv_formatting(tmp_path):
     assert (tmp_path / "f.csv").read_bytes() == expected.encode("utf-8")
 
 
+def _per_value_csv(path, m):
+    """features.csv as FeatureMatrix.save wrote it one value at a time: the reference."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", *m.names])
+        for cid, row in zip(m.ids, m.values):
+            writer.writerow([cid, *["" if math.isnan(v) else f"{v:.10g}" for v in row.tolist()]])
+
+
+def test_save_csv_equals_the_per_value_writer(tmp_path):
+    # ids that csv quotes, NaN first, last and side by side, -0.0, a tiny value,
+    # 10 significant digits, and a seeded block of mixed magnitudes and NaNs.
+    nan = np.nan
+    rows = [
+        [nan, nan, -0.0, 1e-300, 1234567891.0, nan],
+        [nan, nan, nan, nan, nan, nan],
+        [0.1 + 0.2, nan, 2.0, nan, 9.876543219e-5, -1234567891.5],
+    ]
+    rng = np.random.default_rng(5)
+    block = rng.standard_normal((40, 6)) * 10.0 ** rng.integers(-12, 12, size=(40, 6))
+    block[rng.random((40, 6)) < 0.3] = nan
+    values = np.vstack([rows, block])
+    ids = ["a,b", 'say "hi"', "", *(f"c{i}" for i in range(len(values) - 3))]
+    m = FeatureMatrix(ids=ids, names=[f"x{j}" for j in range(6)], modalities=["basic"] * 6, values=values)
+    labels = {"goal_band": [None] * len(ids), "ratio": [1.0] * len(ids),
+              "class_two": [None] * len(ids), "class_four": [None] * len(ids)}
+    m.save(tmp_path / "f.csv", tmp_path / "f.json", tmp_path / "f.npz", labels, {}, "sha")
+    _per_value_csv(tmp_path / "ref.csv", m)
+    got = (tmp_path / "f.csv").read_bytes()
+    assert got == (tmp_path / "ref.csv").read_bytes()
+    assert got.splitlines()[1:4] == [b'"a,b",,,-0,1e-300,1234567891,', b'"say ""hi""",,,,,,',
+                                     b',0.3,,2,,9.876543219e-05,-1234567892']
+
+
+def test_face_columns_equal_the_oracle_bit_for_bit(registry, lexicon, tmp_path):
+    # img_0: a face at exactly CHILD_AGE and JSON-integer scores; img_1: no face;
+    # img_2: values whose sums depend on the order of addition; img_3 has no
+    # line and c4 no cover image. A run with no faces.jsonl at all comes last.
+    int_face = {"gender": "male", "age": int(CHILD_AGE), "beauty": {"female_score": 55, "male_score": 60},
+                "smile": {"value": False},
+                "emotion": dict(zip(EMOTION_KEYS, (0, 5, 0, 70, 25, 0, 0)))}
+    rng = np.random.default_rng(11)
+
+    def float_face(age):
+        raw = rng.gamma(2.0, 1.0, size=7)
+        return {"gender": "female", "age": age,
+                "beauty": {"female_score": float(rng.uniform(20, 90)), "male_score": 0.1 + 0.2},
+                "smile": {"value": bool(rng.random() < 0.5)},
+                "emotion": dict(zip(EMOTION_KEYS, (100.0 * raw / raw.sum()).tolist()))}
+
+    written = {"img_0.ppm": [int_face, float_face(33.3)], "img_1.ppm": [],
+               "img_2.ppm": [float_face(a) for a in (0.1, 0.2, 0.3, 71.7)]}
+    with (tmp_path / "faces.jsonl").open("w", encoding="utf-8") as fh:
+        for ref, faces in written.items():
+            fh.write(json.dumps({"faces": faces, "image_ref": ref}) + "\n")
+    campaigns = [_campaign(0), _campaign(1), _campaign(2), _campaign(3), _campaign(4, cover_image=None)]
+    columns = [*FACE_COLUMNS, "face_missing"]
+
+    for root, faces_by_ref in ((tmp_path, written), (tmp_path / "no-provider-output", {})):
+        matrix = build_feature_matrix(campaigns, registry, lexicon, face_provider=StubFaceProvider(root))
+        got = np.ascontiguousarray(matrix.values[:, [matrix.names.index(n) for n in columns]])
+        want = [[math.nan] * len(FACE_COLUMNS) + [1.0] if c.cover_image is None else
+                face_columns([face_attributes(f) for f in faces_by_ref.get(c.cover_image, [])]) + [0.0]
+                for c in campaigns]
+        assert got.tobytes() == np.array(want).tobytes()
+        assert matrix.column("is_child")[0] == 0.0  # CHILD_AGE itself is no child
+
+
 @pytest.mark.parametrize("state, code", [
     ("AA", 0.0), ("ZZ", 675.0), ("IL", 8 * 26 + 11), (" il ", 8 * 26 + 11),
     ("ÉÉ", None), ("Ωα", None), ("ǅX", None), ("A1", None), ("I", None), ("ILL", None), ("", None),
@@ -122,7 +193,7 @@ def test_build_feature_matrix_columns(registry, lexicon, tmp_path):
     census = tmp_path / "census.csv"
     census.write_text("city,state,population\nSpringfield,IL,114230\n")
     table = load_population_table(census)
-    face = parse_face({
+    face = face_attributes({
         "gender": "male", "age": 8.0,
         "beauty": {"female_score": 50.0, "male_score": 50.0},
         "smile": {"value": True},

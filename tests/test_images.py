@@ -1,14 +1,20 @@
-import pytest
+import json
+import math
+import random
+import tempfile
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from face_oracle import face_attributes, face_columns
 from fundlens.errors import ParseError, RangeError, SchemaError
 from fundlens.images import (
     CHILD_AGE,
     EMOTION_KEYS,
-    FaceAttributes,
+    FACE_COLUMNS,
     StubFaceProvider,
-    aggregate_face_features,
     load_precomputed_quality,
-    parse_face,
     write_faces,
 )
 
@@ -32,19 +38,33 @@ def _face_obj(age=30.0, smile=False, gender="female"):
 
 
 def _face(age=30.0, smile=False):
-    return parse_face(_face_obj(age=age, smile=smile))
+    return face_attributes(_face_obj(age=age, smile=smile))
+
+
+def _columns(root, faces) -> dict:
+    """The face columns StubFaceProvider reads back for one image with ``faces``."""
+    write_faces(root, {"a.ppm": faces})
+    return dict(zip(FACE_COLUMNS, StubFaceProvider(root).analyze("a.ppm")))
+
+
+def _load_face(root, obj):
+    """Make a StubFaceProvider over a faces.jsonl holding one image with face ``obj``."""
+    (root / "faces.jsonl").write_text(json.dumps({"faces": [obj], "image_ref": "a.ppm"}) + "\n")
+    return StubFaceProvider(root)
 
 
 # ---------------------------------------------------------------------------
-# face attribute parsing and aggregation
+# face checks and aggregation, through faces.jsonl
 # ---------------------------------------------------------------------------
 
-def test_parse_face_roundtrip():
-    face = _face(age=25.0, smile=True)
-    assert face.gender == "female"
-    assert face.age == 25.0
-    assert face.smile is True
-    assert set(face.emotion) == set(EMOTION_KEYS)
+def test_parse_face_roundtrip(tmp_path):
+    # A face written by write_faces reads back as the columns of its attributes.
+    got = _columns(tmp_path, [_face(age=25.0, smile=True)])
+    assert got["num_faces"] == 1.0
+    assert got["face_mean_age"] == 25.0
+    assert got["any_smile"] == 1.0
+    assert got["face_mean_beauty"] == 65.0
+    assert [got[f"face_emotion_{k}"] for k in EMOTION_KEYS] == [0.0, 0.0, 0.0, 80.0, 20.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize(
@@ -58,50 +78,80 @@ def test_parse_face_roundtrip():
         lambda o: o["emotion"].pop("fear"),
         lambda o: o["emotion"].update(anger=50.0),  # sum drifts past 100 +- 0.5
         lambda o: o["emotion"].update(anger=-5.0, happiness=85.0),
+        lambda o: o.update(gender=["male"]),  # unhashable
     ],
 )
-def test_parse_face_rejects_invalid(mutate):
+def test_parse_face_rejects_invalid(tmp_path, mutate):
     obj = _face_obj()
     mutate(obj)
-    with pytest.raises(SchemaError):
-        parse_face(obj)
+    with pytest.raises(SchemaError, match="faces.jsonl, line 1: "):
+        _load_face(tmp_path, obj)
 
 
-def test_aggregate_empty_face_list():
-    agg = aggregate_face_features([])
-    assert agg.num_faces == 0
-    assert agg.any_smile == 0
-    assert agg.is_child == 0
-    assert agg.mean_age is None
-    assert agg.mean_beauty is None
+def test_aggregate_empty_face_list(tmp_path):
+    got = _columns(tmp_path, [])
+    assert (got["num_faces"], got["any_smile"], got["is_child"]) == (0.0, 0.0, 0.0)
+    assert all(math.isnan(got[name]) for name in FACE_COLUMNS[3:])
 
 
-def test_aggregate_hand_values():
+def test_aggregate_hand_values(tmp_path):
     # Two faces aged 22 and 18 average to 20; a single smile flips any_smile.
-    agg = aggregate_face_features([_face(age=22.0), _face(age=18.0, smile=True)])
-    assert agg.num_faces == 2
-    assert agg.mean_age == pytest.approx(20.0)
-    assert agg.any_smile == 1
-    assert agg.is_child == 0
+    agg = _columns(tmp_path, [_face(age=22.0), _face(age=18.0, smile=True)])
+    assert agg["num_faces"] == 2
+    assert agg["face_mean_age"] == pytest.approx(20.0)
+    assert agg["any_smile"] == 1
+    assert agg["is_child"] == 0
     # beauty: both raters averaged per face, then across faces
-    assert agg.mean_beauty == pytest.approx(65.0)
-    assert agg.mean_emotion["happiness"] == pytest.approx(80.0)
+    assert agg["face_mean_beauty"] == pytest.approx(65.0)
+    assert agg["face_emotion_happiness"] == pytest.approx(80.0)
 
 
-def test_is_child_strictly_under_ten():
-    assert aggregate_face_features([_face(age=10.0)]).is_child == 0
-    assert aggregate_face_features([_face(age=9.99)]).is_child == 1
+def test_is_child_strictly_under_ten(tmp_path):
+    assert _columns(tmp_path, [_face(age=10.0)])["is_child"] == 0
+    assert _columns(tmp_path, [_face(age=9.99)])["is_child"] == 1
     assert CHILD_AGE == 10
 
 
-def test_aggregate_permutation_invariant():
+def test_aggregate_permutation_invariant(tmp_path):
     faces = [_face(age=a, smile=(a > 30)) for a in (5.0, 31.0, 62.0)]
-    a = aggregate_face_features(faces)
-    b = aggregate_face_features(list(reversed(faces)))
-    assert (a.num_faces, a.any_smile, a.is_child, a.mean_age, a.mean_beauty) == (
-        b.num_faces, b.any_smile, b.is_child, b.mean_age, b.mean_beauty
-    )
-    assert a.mean_emotion == b.mean_emotion
+    a = _columns(tmp_path, faces)
+    b = _columns(tmp_path, list(reversed(faces)))
+    for name in ("num_faces", "any_smile", "is_child"):
+        assert a[name] == b[name]
+    for name in FACE_COLUMNS[3:]:
+        assert a[name] == pytest.approx(b[name])
+
+
+_score = st.floats(0.0, 100.0) | st.integers(0, 100)
+_emotions = st.lists(st.floats(0.0, 1.0) | st.integers(0, 9), min_size=7, max_size=7).filter(
+    lambda raw: sum(raw) > 0)
+_faces = st.lists(st.builds(
+    lambda gender, age, female, male, smile, raw: {
+        "gender": gender, "age": age, "beauty": {"female_score": female, "male_score": male},
+        "smile": {"value": smile},
+        "emotion": dict(zip(EMOTION_KEYS, (100.0 * r / sum(raw) for r in raw))),
+    },
+    st.sampled_from(["female", "male"]), _score | st.just(CHILD_AGE), _score, _score,
+    st.booleans(), _emotions,
+), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(faces=_faces, seed=st.integers(0, 2**32 - 1))
+def test_face_columns_match_the_oracle(faces, seed):
+    # The columns read from faces.jsonl are the oracle's aggregation of the
+    # written faces, bit for bit; the counts and flags ignore face order.
+    shuffled = list(faces)
+    random.Random(seed).shuffle(shuffled)
+    with tempfile.TemporaryDirectory() as root:
+        lines = [json.dumps({"faces": f, "image_ref": ref}) for ref, f in (("a", faces), ("b", shuffled))]
+        with open(f"{root}/faces.jsonl", "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        provider = StubFaceProvider(root)
+    got = np.asarray(provider.analyze("a"))
+    want = np.asarray(face_columns([face_attributes(json.loads(json.dumps(f))) for f in faces]))
+    assert got.tobytes() == want.tobytes()
+    assert list(np.asarray(provider.analyze("b"))[:3]) == list(got[:3])
 
 
 @pytest.mark.parametrize("mutate", [
@@ -114,12 +164,16 @@ def test_aggregate_permutation_invariant():
     lambda o: o["beauty"].update(female_score=10**400),
 ], ids=["nan-emotion", "inf-emotion", "bool-age", "bool-beauty", "bool-emotion",
         "huge-age", "huge-beauty"])
-def test_parse_face_takes_only_finite_non_bool_numbers(mutate):
+def test_parse_face_takes_only_finite_non_bool_numbers(tmp_path, mutate):
     # The rule of Campaign.from_record: a finite int or float, never a bool.
     obj = _face_obj()
     mutate(obj)
-    with pytest.raises(SchemaError, match="must be a finite number"):
-        parse_face(obj)
+    with pytest.raises(SchemaError, match="faces.jsonl, line 1: .*must be a finite number"):
+        _load_face(tmp_path, obj)
+
+
+def _no_faces(row) -> bool:
+    return list(row[:3]) == [0.0, 0.0, 0.0] and all(math.isnan(v) for v in row[3:])
 
 
 def test_stub_provider_reads_sidecars(tmp_path):
@@ -127,20 +181,19 @@ def test_stub_provider_reads_sidecars(tmp_path):
     write_faces(tmp_path, {"imgs/pic.ppm": [_face(age=8.0)], "imgs/none.ppm": []})
     assert sorted(p.name for p in tmp_path.iterdir()) == ["faces.jsonl"]
     provider = StubFaceProvider(tmp_path)
-    faces = provider.analyze("imgs/pic.ppm")
-    assert len(faces) == 1
-    assert faces[0].age == 8.0
-    assert provider.analyze("imgs/none.ppm") == []
+    got = dict(zip(FACE_COLUMNS, provider.analyze("imgs/pic.ppm")))
+    assert (got["num_faces"], got["is_child"], got["face_mean_age"]) == (1.0, 1.0, 8.0)
+    assert _no_faces(provider.analyze("imgs/none.ppm"))
     # an image with no line means "no analysis", not an error
-    assert provider.analyze("imgs/other.ppm") == []
+    assert _no_faces(provider.analyze("imgs/other.ppm"))
 
 
 def test_stub_provider_skips_paths_that_hold_no_sidecar_file(tmp_path):
-    assert StubFaceProvider(tmp_path / "missing").analyze("pic.ppm") == []   # no directory
+    assert _no_faces(StubFaceProvider(tmp_path / "missing").analyze("pic.ppm"))   # no directory
     (tmp_path / "plain.txt").write_text("not a directory")
-    assert StubFaceProvider(tmp_path / "plain.txt").analyze("pic.ppm") == []  # a file as root
-    (tmp_path / "faces.jsonl").mkdir()                                         # a directory at its path
-    assert StubFaceProvider(tmp_path).analyze("pic.ppm") == []
+    assert _no_faces(StubFaceProvider(tmp_path / "plain.txt").analyze("pic.ppm"))  # a file as root
+    (tmp_path / "faces.jsonl").mkdir()                                              # a directory at its path
+    assert _no_faces(StubFaceProvider(tmp_path).analyze("pic.ppm"))
 
 
 _GOOD_LINE = '{"faces": [], "image_ref": "a.ppm"}\n'

@@ -140,3 +140,13 @@ def test_population_schema_errors(tmp_path):
         load_population_table(_census(tmp_path, ["a,b"], header="city,state"))
     with pytest.raises(ParseError):
         load_population_table(_census(tmp_path, ["Springfield,IL,lots"]))
+
+
+def test_population_written_as_a_whole_float_is_taken(tmp_path):
+    # "114230.0" is a whole number; a fractional population is a ParseError
+    # naming the file and line rather than a count truncated to an int.
+    table = load_population_table(_census(tmp_path, ["Springfield,IL,114230.0", "Portland,ME,6.6882e4"]))
+    assert table.lookup("Springfield", "IL") == 114230
+    assert table.lookup("Portland", "ME") == 66882
+    with pytest.raises(ParseError, match=r"census.csv, line 3: population must be a whole number, got '2.5'"):
+        load_population_table(_census(tmp_path, ["Springfield,IL,100", "Portland,ME,2.5"]))
