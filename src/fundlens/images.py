@@ -17,6 +17,8 @@ import math
 import os
 from array import array
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 from .errors import ParseError, RangeError, SchemaError, utf8_input
@@ -70,7 +72,6 @@ FACE_COLUMNS = ("num_faces", "any_smile", "is_child", "face_mean_age", "face_mea
 #: The face columns of an image with no face: no mean is defined.
 _NO_FACES = (0.0, 0.0, 0.0) + (math.nan,) * (len(FACE_COLUMNS) - 3)
 
-_GENDERS = frozenset(("male", "female"))
 _BEAUTY_KEYS = frozenset(("female_score", "male_score"))
 _EMOTION_KEYS = frozenset(EMOTION_KEYS)
 #: The types json.loads gives a number; bool is not among them.
@@ -79,28 +80,7 @@ _JSON_NUMBERS = frozenset((int, float))
 
 def _face_values(obj) -> tuple:
     """(smile, age, the mean of both beauty scores, the emotion scores) of one
-    provider face object; anything off-contract is a SchemaError.
-
-    The 10 numbers are checked as one list. A face that fails is checked
-    again one field at a time, so that the error names the first bad field.
-    """
-    try:
-        beauty, emotion, smile = obj["beauty"], obj["emotion"], obj["smile"]["value"]
-        numbers = [obj["age"], beauty["female_score"], beauty["male_score"], *[emotion[k] for k in EMOTION_KEYS]]
-        if (obj["gender"] in _GENDERS and type(smile) is bool and beauty.keys() == _BEAUTY_KEYS
-                and emotion.keys() == _EMOTION_KEYS and _JSON_NUMBERS.issuperset(map(type, numbers))):
-            age, female, male, *scores = map(float, numbers)
-            # NaN fails every comparison, and a NaN or infinite score makes the sum so
-            if (0.0 <= age <= 100.0 and 0.0 <= female <= 100.0 and 0.0 <= male <= 100.0
-                    and min(scores) >= 0.0 and abs(sum(scores) - 100.0) <= 0.5):
-                return (smile, age, (female + male) / 2.0, *scores)
-    except (TypeError, KeyError, OverflowError):  # not an object, a missing key, an int beyond float
-        pass
-    return _checked_face_values(obj)
-
-
-def _checked_face_values(obj) -> tuple:
-    """_face_values one check at a time: a SchemaError names the first bad field."""
+    provider face object; anything off-contract is a SchemaError naming the field."""
     if not isinstance(obj, dict):
         raise SchemaError("face record is not an object")
     gender = obj.get("gender")
@@ -121,15 +101,35 @@ def _checked_face_values(obj) -> tuple:
     emotion = obj.get("emotion")
     if not isinstance(emotion, dict) or emotion.keys() != _EMOTION_KEYS:
         raise SchemaError(f"emotion must have exactly the 7 keys {EMOTION_KEYS}")
-    scores = [_number(emotion[k], "emotion", k) for k in EMOTION_KEYS]
+    return (smile["value"], age, (float(beauty["female_score"]) + float(beauty["male_score"])) / 2.0,
+            *_emotion_scores(emotion))
+
+
+def _emotion_scores(emotion: dict) -> list:
+    """The scores of ``emotion`` in EMOTION_KEYS order, as floats.
+
+    The 7 scores are checked as one list. Only a list that fails is checked
+    again one score at a time, so that the SchemaError names the first bad key.
+    The sum is a running total from 0.0, left to right.
+    """
+    raw = [emotion[k] for k in EMOTION_KEYS]
+    try:
+        if _JSON_NUMBERS.issuperset(map(type, raw)):
+            scores = list(map(float, raw))
+            # a NaN or infinite score makes the total NaN or infinite, which fails the bound
+            if min(scores) >= 0.0 and abs(reduce(add, scores, 0.0) - 100.0) <= 0.5:
+                return scores
+    except OverflowError:  # an int beyond the float range
+        pass
+    scores = [_number(v, "emotion", k) for k, v in zip(EMOTION_KEYS, raw)]
+    total = 0.0
     for k, v in zip(EMOTION_KEYS, scores):
         if v < 0:
             raise SchemaError(f"emotion {k} must be non-negative")
-    total = sum(scores)
+        total += v
     if abs(total - 100.0) > 0.5:
         raise SchemaError(f"emotion scores sum to {total}, expected 100 +- 0.5")
-    return (smile["value"], age, (float(beauty["female_score"]) + float(beauty["male_score"])) / 2.0,
-            *scores)
+    return scores
 
 
 def _face_row(faces) -> tuple:

@@ -116,10 +116,8 @@ def test_aggregate_permutation_invariant(tmp_path):
     faces = [_face(age=a, smile=(a > 30)) for a in (5.0, 31.0, 62.0)]
     a = _columns(tmp_path, faces)
     b = _columns(tmp_path, list(reversed(faces)))
-    for name in ("num_faces", "any_smile", "is_child"):
+    for name in FACE_COLUMNS:
         assert a[name] == b[name]
-    for name in FACE_COLUMNS[3:]:
-        assert a[name] == pytest.approx(b[name])
 
 
 _score = st.floats(0.0, 100.0) | st.integers(0, 100)
@@ -169,6 +167,18 @@ def test_parse_face_takes_only_finite_non_bool_numbers(tmp_path, mutate):
     obj = _face_obj()
     mutate(obj)
     with pytest.raises(SchemaError, match="faces.jsonl, line 1: .*must be a finite number"):
+        _load_face(tmp_path, obj)
+
+
+def test_emotion_bound_is_on_the_running_total(tmp_path):
+    # Each 5e-15 is under half an ulp of 100.5, so a running total from 0.0
+    # stays at 100.5, on the bound, while the exact sum is past it: the face is
+    # taken, as it always was, whether or not the interpreter's sum compensates.
+    obj = _face_obj()
+    obj["emotion"] = dict(zip(EMOTION_KEYS, [100.5] + [5e-15] * 6))
+    assert _load_face(tmp_path, obj).analyze("a.ppm")[0] == 1.0
+    obj["emotion"]["anger"] = 100.50000000000003
+    with pytest.raises(SchemaError, match="faces.jsonl, line 1: emotion scores sum to 100.5000000000000"):
         _load_face(tmp_path, obj)
 
 
