@@ -24,8 +24,10 @@ from .errors import ConfigError, DegenerateNode, InsufficientData, InvalidMatrix
 _SERIAL_VERSION = 1
 _TREE_DTYPES = {"feature": np.int32, "threshold": np.float64, "left": np.int32, "right": np.int32,
                 "counts": np.float64}
-#: Most (node, feature, row) entries one scan, and (tree, row) pairs one tree group, holds.
-_ENTRY_BUDGET = 1 << 12
+#: Most (node, feature, row) entries one scan chunk holds.
+_ENTRY_BUDGET = 1 << 14
+#: Most (tree, row) pairs one tree group holds.
+_GROUP_BUDGET = 1 << 13
 _NO_SPLIT = (np.empty(0, np.intp),) * 2 + (np.empty(0),) * 2
 
 
@@ -142,70 +144,117 @@ class Tree:
 
 class _Columns:
     """A fit's rows sorted once: ``order[f, k]`` is the row with the k-th smallest
-    value of feature f (ties in row order), and ``rank[f, order[f, k]] == k``."""
+    value of feature f (ties in row order), and ``rank[f, order[f, k]] == k``.
+
+    A class weight sum over a tree's rows is a whole number of at most n, so ``packed`` puts
+    several classes, ``bits`` apart, into one uint64 word. Words add and subtract modulo 2**64,
+    so a difference of two running sums holds each class's sum between them exactly."""
 
     def __init__(self, X, y_codes, n_classes):
         self.X, self.y_codes, self.n_classes = np.ascontiguousarray(X), y_codes, n_classes
+        n, d = X.shape
         self.order = np.argsort(X.T, axis=1, kind="stable").astype(np.int32)
         self.rank = np.empty_like(self.order)
-        np.put_along_axis(self.rank, self.order, np.arange(X.shape[0], dtype=np.int32), axis=1)
+        np.put(self.rank, self.order + np.arange(0, d * n, n, dtype=np.int32)[:, None],
+               np.arange(n, dtype=np.int32))
+        self.bits = n.bit_length()
+        self.word, shift = np.divmod(np.arange(n_classes), 64 // self.bits)
+        self.shift = (shift * self.bits).astype(np.uint64)[:, None]
+        self.to_word = np.where(self.word[:, None] == np.arange(self.word[-1] + 1),
+                                np.uint64(1) << self.shift, np.uint64(0))
+
+    def packed(self, counts):
+        """(words, rows) packed words of a (rows, classes) array of class counts."""
+        return (counts.astype(np.uint64) @ self.to_word).T
+
+    def unpacked(self, words):
+        """(classes, k) float class counts of (words, k) packed words."""
+        counts = words[self.word]
+        counts >>= self.shift
+        counts &= np.uint64((1 << self.bits) - 1)
+        return counts.astype(np.float64)
 
 
-def _scan(cols: _Columns, weights, tree_of, pair_row, pair_node, counts, impurity, cand):
-    """(nodes, feature, threshold, decrease) of a frontier chunk's nodes that split. Sorted
-    keys ``(node * mf + j) * n + rank of the row in cand[node, j]`` order each (node, feature)
-    segment by value and a node's segments by feature. Class sums run in class order, as NumPy
-    sums the per-node reference ``_scan_candidates`` for under 8 classes: the same bits."""
-    (n, d), (n_nodes, mf) = cols.X.shape, cand.shape
-    keys = (pair_node * (mf * n))[:, None] + np.arange(0, mf * n, n)
-    keys += cols.rank.ravel()[cand[pair_node] * n + pair_row[:, None]]
-    seg, row = np.divmod(np.sort(keys, axis=None), n)
+def _scan(cols: _Columns, packed, tree_of, pair_row, size, counts, impurity, cand, buf):
+    """(nodes, feature, threshold, decrease, left class counts) of a frontier chunk's nodes
+    that split, or None. Sorted keys ``(node * mf + j) * n + rank of the row in cand[node, j]``
+    order each (node, feature) segment by value and a node's segments by feature. Class sums
+    run in class order, as NumPy sums the per-node reference ``_scan_candidates`` for under 8
+    classes: the same bits. ``buf`` is a uint64 buffer of at least words * (entries + 1)."""
+    (d, n), (n_nodes, mf) = cols.order.shape, cand.shape
+    it = np.int32 if max(n_nodes * mf, d) * n < 2**31 else np.int64
+    seg = np.arange(n_nodes * mf, dtype=it)
+    cand = cand.astype(it)
+    keys = np.repeat(cand * n, size, axis=0)
+    keys += pair_row[:, None]
+    keys = cols.rank.ravel().take(keys).astype(it, copy=False)
+    keys += np.repeat((seg * n).reshape(n_nodes, mf), size, axis=0)
+    keys = keys.ravel()
+    keys.sort()
+    # key - segment * n is the row's rank: this makes each key the (feature, rank) index of order.
+    seg_size = np.repeat(size, mf)
+    keys += np.repeat((cand.ravel() - seg) * n, seg_size)
+    row = cols.order.ravel().take(keys)
     del keys
-    f = cand.ravel()[seg]
-    row = cols.order.ravel()[f * n + row]
-    value = cols.X.ravel()[row * d + f]
-    # cum[c, i]: class-c weight of the chunk's first i entries.
-    weight = weights.ravel()[np.repeat(tree_of * n, mf)[seg] + row]
-    cum = np.zeros((cols.n_classes, seg.size + 1))
-    np.cumsum(np.where(cols.y_codes[row] == np.arange(cols.n_classes)[:, None], weight, 0.0),
-              axis=1, out=cum[:, 1:])
-    del f, row, weight
+    value = cols.X.ravel().take(row * d + np.repeat(cand.ravel(), seg_size))
     # pos: each entry just left of a boundary between distinct values of a segment.
-    pos = np.flatnonzero((seg[1:] == seg[:-1]) & (value[1:] > value[:-1]))
+    step = value[1:] > value[:-1]
+    start = np.cumsum(seg_size) - seg_size
+    step[start[1:] - 1] = False
+    pos = np.flatnonzero(step)
+    del step
     if pos.size == 0:
-        return _NO_SPLIT
-    seg = seg[pos]
+        return None
+    seg = np.searchsorted(start, pos, side="right") - 1
     node = seg // mf
-    seg_size = np.repeat(np.bincount(pair_node, minlength=n_nodes), mf)
-    left = cum.take(pos + 1, axis=1)
-    left -= cum.take((np.cumsum(seg_size) - seg_size)[seg], axis=1)
-    del cum
-    right = counts.T.take(node, axis=1) - left
-    m, nl = counts.sum(axis=1)[node], left.sum(axis=0)
-    nr = m - nl
-    # The reference's (left / nl) ** 2, in place.
+    # run[:, k]: the packed class weights of the chunk's first k entries. Left of a boundary
+    # are its segment's entries up to and including pos; right of it, the rest of the node's.
+    row += np.repeat((tree_of * n).astype(it), size * mf)
+    run = buf[:packed.shape[0] * (row.size + 1)].reshape(packed.shape[0], row.size + 1)
+    run[:, 0] = 0
+    packed.take(row, axis=1, out=run[:, 1:], mode="clip")
+    del row
+    np.cumsum(run, axis=1, out=run)
+    words = run.take(pos + 1, axis=1)
+    words -= run.take(start[seg], axis=1)
+    del seg
+    # The reference's Gini of each side, 1 - sum((class / total) ** 2) in class order.
+    left = cols.unpacked(words)
+    nl = left.sum(axis=0)
     np.square(np.divide(left, nl, out=left), out=left)
+    gini_left = 1.0 - left.sum(axis=0)
+    del left
+    np.subtract(cols.packed(counts).take(node, axis=1), words, out=words)
+    right = cols.unpacked(words)
+    nr = right.sum(axis=0)
     np.square(np.divide(right, nr, out=right), out=right)
-    decrease = impurity[node] - (nl * (1.0 - left.sum(axis=0)) + nr * (1.0 - right.sum(axis=0))) / m
+    gini_right = 1.0 - right.sum(axis=0)
+    del right
+    decrease = impurity[node] - (nl * gini_left + nr * gini_right) / counts.sum(axis=1)[node]
+    del gini_left, gini_right, nl, nr
     # Segmented first max: the lower feature, then the lower threshold, wins a tie.
     new = np.concatenate(([True], node[1:] != node[:-1]))
     starts = np.flatnonzero(new)
     best = np.maximum.reduceat(decrease, starts)
-    hit = np.where(decrease == best[np.cumsum(new) - 1], np.arange(pos.size), pos.size)
+    best_of = np.empty(n_nodes)
+    best_of[node[starts]] = best
+    hit = np.where(decrease == best_of[node], np.arange(pos.size), pos.size)
     first = np.minimum.reduceat(hit, starts)[best > 1e-15]
-    lo, hi = value[pos[first]], value[pos[first] + 1]
+    at, node = pos[first], node[first]
+    lo, hi = value[at], value[at + 1]
     # Between adjacent floats the midpoint can round up to hi: then use lo (same partition).
     threshold = np.where(0.5 * (lo + hi) >= hi, lo, 0.5 * (lo + hi))
-    return node[first], cand.ravel()[seg[first]], threshold, decrease[first]
+    feature = cand.ravel()[np.searchsorted(start, at, side="right") - 1]
+    return node, feature, threshold, decrease[first], counts[node] - cols.unpacked(words[:, first]).T
 
 
 def _grow(task):
     """[(Tree, importance)] of trees ``indices``, grown together one depth level at a time
-    in groups of at most ``_ENTRY_BUDGET`` in-bag pairs; a level scans its frontier in chunks
-    of about ``_ENTRY_BUDGET`` entries, never splitting a node across chunks."""
+    in groups of at most ``_GROUP_BUDGET`` (tree, row) pairs; a level scans its frontier in
+    chunks of about ``_ENTRY_BUDGET`` entries, never splitting a node across chunks."""
     cols, config, indices = task
     (d, n), n_classes = cols.order.shape, cols.n_classes
-    group = max(1, _ENTRY_BUDGET // n)
+    group = max(1, _GROUP_BUDGET // n)
     if len(indices) > group:
         return [p for i in range(0, len(indices), group)
                 for p in _grow((cols, config, indices[i:i + group]))]
@@ -213,40 +262,46 @@ def _grow(task):
     rngs = [np.random.default_rng([config.seed, t]) for t in indices]
     weights = (np.stack([np.bincount(r.integers(0, n, n), minlength=n) for r in rngs])
                if config.bootstrap else np.ones((n_trees, n), dtype=np.int64))
-    # In-bag (frontier node, row) pairs of the row weights, sorted by node; roots first.
-    pair_node, pair_row = np.nonzero(weights)
-    node_tree, tree_size = np.arange(n_trees), np.ones(n_trees, dtype=np.int64)
-    importance, levels = np.zeros((n_trees, d)), []
-    while node_tree.size:
-        n_front = node_tree.size
-        counts = np.bincount(pair_node * n_classes + cols.y_codes[pair_row],
-                             weights=weights[node_tree[pair_node], pair_row],
-                             minlength=n_front * n_classes).reshape(n_front, n_classes)
+    # packed[:, t * n + r]: row r's weight in tree t, in its class's field.
+    class_weight = weights[:, :, None] * (cols.y_codes[:, None] == np.arange(n_classes))
+    packed = cols.packed(class_weight.reshape(n_trees * n, n_classes))
+    counts = class_weight.sum(axis=1).astype(np.float64)
+    del class_weight
+
+    def frontier(counts, depth):
         total = counts.sum(axis=1)
         impurity = 1.0 - ((counts / total[:, None]) ** 2).sum(axis=1)
         eligible = (total >= config.min_samples_split) & (impurity > 0.0)
-        eligible &= config.max_depth is None or len(levels) < config.max_depth
-        nodes = np.flatnonzero(eligible)
-        # The eligible nodes' pairs, with nodes renumbered 0.. in frontier order.
-        keep = eligible[pair_node]
-        pair_node, pair_row = (np.cumsum(eligible) - 1)[pair_node[keep]], pair_row[keep]
-        size = np.bincount(pair_node, minlength=nodes.size)
+        return total, impurity, eligible & (config.max_depth is None or depth < config.max_depth)
+
+    total, impurity, eligible = frontier(counts, 0)
+    # The in-bag rows of each eligible frontier node, node after node; roots first.
+    pair_row = np.nonzero(weights[eligible])[1].astype(np.int32)
+    size = np.count_nonzero(weights[eligible], axis=1)
+    # One scan buffer for every chunk: a chunk holds less than a budget and a node's entries.
+    buf = np.empty(packed.shape[0] * (min(pair_row.size * mf, _ENTRY_BUDGET + n * mf) + 1), np.uint64)
+    node_tree, tree_size = np.arange(n_trees), np.ones(n_trees, dtype=np.int64)
+    importance, levels = np.zeros((n_trees, d)), []
+    none = (np.empty(0, np.intp),) * 2 + (np.empty(0),) * 2 + (np.empty((0, n_classes)),)
+    while node_tree.size:
+        n_front, nodes = node_tree.size, np.flatnonzero(eligible)
         end = np.cumsum(size)
-        found = [_NO_SPLIT]
+        found = [none]
         if nodes.size:
             # Each tree draws one uniform block for its eligible nodes, in frontier order; a
             # node's candidates are the mf features with the smallest draws, sorted.
             per_tree = np.bincount(node_tree[nodes], minlength=n_trees)
-            cand = np.concatenate([np.sort(np.argsort(r.random((c, d)), axis=1)[:, :mf], axis=1)
-                                   for r, c in zip(rngs, per_tree) if c])
+            draws = np.concatenate([r.random((c, d)) for r, c in zip(rngs, per_tree) if c])
+            cand = np.sort(np.argsort(draws, axis=1)[:, :mf], axis=1)
             chunk = (end - size) * mf // _ENTRY_BUDGET
             bounds = np.flatnonzero(np.concatenate(([True], chunk[1:] != chunk[:-1], [True])))
             for a, b in zip(bounds[:-1], bounds[1:]):
                 sel, rows = nodes[a:b], slice(end[a] - size[a], end[b - 1])
-                split, *rest = _scan(cols, weights, node_tree[sel], pair_row[rows],
-                                     pair_node[rows] - a, counts[sel], impurity[sel], cand[a:b])
-                found.append((split + a, *rest))
-        split, feat, thr, dec = (np.concatenate(c) for c in zip(*found))
+                split = _scan(cols, packed, node_tree[sel], pair_row[rows], size[a:b],
+                              counts[sel], impurity[sel], cand[a:b], buf)
+                if split is not None:
+                    found.append((split[0] + a, *split[1:]))
+        split, feat, thr, dec, left_counts = (np.concatenate(c) for c in zip(*found))
         parent, ptree = nodes[split], node_tree[nodes[split]]
         feature, left = np.full((2, n_front), -1, dtype=np.int32)
         threshold = np.zeros(n_front)
@@ -256,14 +311,26 @@ def _grow(task):
         left[parent] = tree_size[ptree] + 2 * (np.arange(parent.size) - np.searchsorted(ptree, ptree))
         levels.append((node_tree, feature, threshold, left, np.where(left < 0, -1, left + 1), counts))
         tree_size += 2 * np.bincount(ptree, minlength=n_trees)
-        # Route each pair of a split node to its child in the next frontier.
-        child = np.full(nodes.size, -1)
+        # The next frontier: each split node's children, left then right, with the class
+        # counts on each side of the boundary that split it.
+        counts = np.concatenate((left_counts, counts[parent] - left_counts), axis=1).reshape(-1, n_classes)
+        total, impurity, eligible = frontier(counts, len(levels))
+        node_tree = np.repeat(ptree, 2)
+        # Route each pair of a split node to its child and keep the eligible children's pairs.
+        child = np.full(nodes.size, -2)
         child[split] = 2 * np.arange(split.size)
-        keep = child[pair_node] >= 0
-        pair_node, pair_row, at = child[pair_node[keep]], pair_row[keep], nodes[pair_node[keep]]
-        pair_node += cols.X[pair_row, feature[at]] > threshold[at]
-        by_node = np.argsort(pair_node, kind="stable")
-        pair_node, pair_row, node_tree = pair_node[by_node], pair_row[by_node], np.repeat(ptree, 2)
+        child = np.repeat(child, size)
+        child += (cols.X.ravel()[pair_row * d + np.repeat(feature[nodes], size)]
+                  > np.repeat(threshold[nodes], size))
+        keep = child >= 0
+        keep[keep] = eligible[child[keep]]
+        child, pair_row = child[keep], pair_row[keep]
+        # A counting sort by child that keeps each child's pairs in order: the pairs that went
+        # left fill the left children's slots, in order, and those that went right the rest.
+        size = np.bincount(child, minlength=eligible.size)
+        to_left, went_left = np.repeat(np.arange(eligible.size) % 2 == 0, size), child % 2 == 0
+        pair_row[to_left], pair_row[~to_left] = pair_row[went_left], pair_row[~went_left]
+        size = size[eligible]
     tree_of = np.concatenate([lv[0] for lv in levels])
     by_tree, cuts = np.argsort(tree_of, kind="stable"), np.cumsum(np.bincount(tree_of))[:-1]
     arrays = [np.split(np.concatenate([lv[i] for lv in levels])[by_tree], cuts) for i in range(1, 6)]

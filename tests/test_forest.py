@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import tracemalloc
@@ -246,6 +247,72 @@ def test_fit_memory_stays_flat():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
+
+
+def test_fit_memory_stays_flat_without_a_depth_limit():
+    # Unlimited trees end in many small nodes, so a level's chunks hold many segments.
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(1350, 63))
+    y = np.where(rng.random(1350) < 0.5, -2, 2)
+    tracemalloc.start()
+    try:
+        fit(X, y, ForestConfig(n_estimators=30, max_depth=None, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
+def _tied_cohort(n=240, d=6, seed=13):
+    """Three classes over columns with many tied values."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([rng.integers(0, 4, n), rng.integers(0, 12, n),
+                         np.round(rng.normal(size=(n, d - 2)), 1)]).astype(float)
+    y = np.array([3, 5, 7])[(X[:, 0] + X[:, 1] / 4 + rng.normal(size=n)).astype(int) % 3]
+    return X, y
+
+
+@pytest.mark.parametrize("max_depth", [None, 3])
+def test_tree_groups_and_scan_chunks_never_change_a_forest(monkeypatch, max_depth):
+    X, y = _tied_cohort()
+    cfg = ForestConfig(n_estimators=7, max_depth=max_depth, seed=4)
+    default = fit(X, y, cfg).to_json()
+    # One tree per group, and about one node per scan chunk.
+    monkeypatch.setattr(forest_module, "_GROUP_BUDGET", 1)
+    monkeypatch.setattr(forest_module, "_ENTRY_BUDGET", 64)
+    assert fit(X, y, cfg).to_json() == default
+    # One group of every tree, scanning each level in one chunk.
+    monkeypatch.setattr(forest_module, "_GROUP_BUDGET", cfg.n_estimators * X.shape[0])
+    monkeypatch.setattr(forest_module, "_ENTRY_BUDGET", cfg.n_estimators * X.size)
+    assert fit(X, y, cfg).to_json() == default
+
+
+#: sha256 of ``json.dumps(fit(...).to_json(), sort_keys=True)`` for the fits of
+#: test_forest_bytes_are_pinned, computed before the scan-entry and tree-group budgets
+#: were split: a faster builder must leave every tree as it is. The forests follow
+#: NumPy's Generator streams, like tests/test_synth.py::test_write_dataset_is_pinned:
+#: re-pin only after a NumPy upgrade, with a note in CHANGES.md.
+_FOREST_DIGESTS = {
+    "2 classes, depth 6": "a10aa71d36948557982cc10082996620a9d29bef537d6be67752ea53e9d42f8e",
+    "3 classes, unlimited": "dd237002b2559d9719bf1e7117fd009886f0a6818ca75824fa9654adabe6dfc6",
+    "7 classes, depth 4": "f18d11a084626cd985bec775ec02957d4ee0ace7aa5abeb3aa268fde0a0ebc2d",
+}
+
+
+def test_forest_bytes_are_pinned():
+    rng = np.random.default_rng(17)
+    X7 = np.column_stack([rng.integers(0, 9, 1100), rng.normal(size=(1100, 3))])
+    y7 = (X7[:, 0].astype(int) + (X7[:, 1] > 0)) % 7
+    fits = {
+        "2 classes, depth 6": (*_blobs(n=400, d=9, seed=21, sep=0.8),
+                               ForestConfig(n_estimators=16, max_depth=6, seed=7)),
+        "3 classes, unlimited": (*_tied_cohort(), ForestConfig(n_estimators=12, seed=8)),
+        # Seven classes on 1,100 rows take two packed class-sum words.
+        "7 classes, depth 4": (X7, y7, ForestConfig(n_estimators=3, max_depth=4, seed=2)),
+    }
+    digests = {name: hashlib.sha256(json.dumps(fit(X, y, cfg).to_json(), sort_keys=True)
+                                    .encode()).hexdigest() for name, (X, y, cfg) in fits.items()}
+    assert digests == _FOREST_DIGESTS
 
 
 def _square(x):
