@@ -265,20 +265,26 @@ def cmd_ingest(cfg: RunConfig, paths: dict) -> int:
     return 0
 
 
-def _feature_inputs(cfg: RunConfig) -> dict:
-    """The build_feature_matrix inputs that featurize and predict share.
+def _feature_paths(cfg: RunConfig) -> dict:
+    """The configured feature input paths, each checked to exist.
 
     A configured path that does not exist is a config error, never a
     silently missing (and then imputed) modality.
     """
+    return {key: _require(path, what) if path else None for key, path, what in (
+        ("census", cfg.census, "census file"),
+        ("quality", cfg.quality_scores, "quality score file"),
+        ("faces", cfg.sidecar_root, "sidecar root"))}
+
+
+def _feature_inputs(cfg: RunConfig) -> dict:
+    """The build_feature_matrix inputs that featurize and predict share."""
+    paths = _feature_paths(cfg)
     return {
         "lexicon": _lexicon(cfg),
-        "population_table": (load_population_table(_require(cfg.census, "census file"))
-                             if cfg.census else None),
-        "quality_table": (load_precomputed_quality(_require(cfg.quality_scores, "quality score file"))
-                          if cfg.quality_scores else None),
-        "face_provider": (StubFaceProvider(_require(cfg.sidecar_root, "sidecar root"))
-                          if cfg.sidecar_root else None),
+        "population_table": load_population_table(paths["census"]) if paths["census"] else None,
+        "quality_table": load_precomputed_quality(paths["quality"]) if paths["quality"] else None,
+        "face_provider": StubFaceProvider(paths["faces"]) if paths["faces"] else None,
     }
 
 
@@ -432,12 +438,14 @@ def cmd_predict(cfg: RunConfig, paths: dict, campaign_file: str) -> int:
     registry = _registry(cfg)
     model_dir = paths["models"]
     src = _require(Path(campaign_file), "campaign file")
-    campaigns, report = load_campaigns(src, registry)
-    matrix = build_feature_matrix(campaigns, registry, **_feature_inputs(cfg))
+    _feature_paths(cfg)
+    # The models before any campaign or feature input is read: a run without one stops here.
     models = {band: _load_band_model(model_dir, band) for band in BANDS
               if (model_dir / f"{band}.json").is_file()}
     if not models:
         raise ConfigError(f"no trained models found under {model_dir}")
+    campaigns, report = load_campaigns(src, registry)
+    matrix = build_feature_matrix(campaigns, registry, **_feature_inputs(cfg))
     bands = [assign_goal_band(c.goal_amount) for c in campaigns]
     rows = [[c.id, b.name if b else "OutOfRange", "", "", "", ""] for c, b in zip(campaigns, bands)]
     # Score each band in one batch on the columns its model was trained on.

@@ -494,10 +494,12 @@ def test_malformed_emotion_exits_3_naming_the_key(pipeline_dir, tmp_path, capsys
     ("inf", "must be finite"), ("1e999", "must be finite"), ("nan", "must be finite"),
     ("-3", "must be positive"), ("2.5", "must be a whole number"), ("many", "must be a number"),
 ])
-def test_bad_census_population_exits_3(pipeline_dir, tmp_path, capsys, command, population, problem):
+def test_bad_census_population_exits_3(pipeline_dir, served, tmp_path, capsys, command, population,
+                                       problem):
     # A population that is not a positive whole number is a data error naming
     # census.csv and its line, never a traceback or a truncated count.
     root, out, base = pipeline_dir
+    models, _ = served
     census = tmp_path / "census.csv"
     rows = (root / "data" / "census.csv").read_text(encoding="utf-8").splitlines()
     city, state, _ = rows[3].split(",")
@@ -507,7 +509,7 @@ def test_bad_census_population_exits_3(pipeline_dir, tmp_path, capsys, command, 
     work.mkdir()
     shutil.copy(out / "dataset.jsonl", work / "dataset.jsonl")
     argv = ([command, *base, "--out", str(work), "--census", str(census)] if command == "featurize" else
-            [command, *base, "--out", str(work), "--models", str(work), "--census", str(census),
+            [command, *base, "--out", str(work), "--models", str(models), "--census", str(census),
              str(root / "data" / "campaigns.jsonl")])
     rc = main(argv)
     err = capsys.readouterr().err
@@ -527,6 +529,18 @@ def test_predict_missing_input_exits_2_before_writing(pipeline_dir, tmp_path, ca
     assert rc == 2
     assert "census file not found" in capsys.readouterr().err
     assert predictions.read_text() == "untouched\n"
+
+
+def test_predict_without_a_model_exits_2_before_reading_inputs(pipeline_dir, tmp_path, capsys,
+                                                              monkeypatch):
+    root, out, base = pipeline_dir
+    for name in ("load_campaigns", "load_population_table", "build_feature_matrix"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("read an input"))
+    rc = main(["predict", *base, "--out", str(tmp_path), "--models", str(tmp_path),
+               str(root / "data" / "campaigns.jsonl")])
+    assert rc == 2
+    assert "no trained models found" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def _drop_goal_band(line):
