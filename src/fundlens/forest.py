@@ -1,11 +1,13 @@
 """From-scratch CART trees and a random-forest classifier.
 
-A fit sorts each column once and grows its trees together, one depth level at a time,
-over integer bootstrap row weights, as SLIQ and XGBoost's exact greedy search do;
-``best_split`` is the per-node reference. A tree draws its bootstrap, then one block of
-candidate features per level, from its own generator seeded (config.seed, tree_index),
-so it depends on nothing else: not on chunking, batching or ``jobs``. Trees are flat
-arrays in breadth-first order. ``parallel_map`` is the one place that starts a pool.
+A fit sorts each column once and grows its trees in groups, the trees of a group together,
+one depth level at a time, over integer bootstrap row weights, as SLIQ and XGBoost's exact
+greedy search do; ``best_split`` is the per-node reference. Two budgets size the work: a
+group holds at most ``_GROUP_BUDGET`` (tree, row) pairs, and a level is scanned in chunks
+of about ``_ENTRY_BUDGET`` (node, feature, row) entries. A tree draws its bootstrap, then
+one block of candidate features per level, from its own generator seeded (config.seed,
+tree_index), so it depends on nothing else: not on groups, chunks or ``jobs``. Trees are
+flat arrays in breadth-first order. ``parallel_map`` is the one place that starts a pool.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ from .errors import ConfigError, DegenerateNode, InsufficientData, InvalidMatrix
 _SERIAL_VERSION = 1
 _TREE_DTYPES = {"feature": np.int32, "threshold": np.float64, "left": np.int32, "right": np.int32,
                 "counts": np.float64}
-#: Most (node, feature, row) entries one scan chunk holds.
+#: Most (node, feature, row) entries a scan chunk holds before its last node. A chunk's
+#: working set is about 80 B an entry, so this budget bounds a fit's memory.
 _ENTRY_BUDGET = 1 << 14
-#: Most (tree, row) pairs one tree group holds.
+#: Most (tree, row) pairs a tree group holds: its trees share each level's calls, so 10
+#: trees on 600 rows grow as one group. This budget bounds the calls, not the memory.
 _GROUP_BUDGET = 1 << 13
-_NO_SPLIT = (np.empty(0, np.intp),) * 2 + (np.empty(0),) * 2
 
 
 @dataclass(frozen=True)
