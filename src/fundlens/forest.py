@@ -197,7 +197,7 @@ def _scan(cols: _Columns, packed, tree_of, pair_row, size, counts, impurity, can
     # key - segment * n is the row's rank: this makes each key the (feature, rank) index of order.
     seg_size = np.repeat(size, mf)
     keys += np.repeat((cand.ravel() - seg) * n, seg_size)
-    row = cols.order.ravel().take(keys)
+    row = cols.order.ravel().take(keys).astype(it, copy=False)
     del keys
     value = cols.X.ravel().take(row * d + np.repeat(cand.ravel(), seg_size))
     # pos: each entry just left of a boundary between distinct values of a segment.
