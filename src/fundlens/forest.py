@@ -178,14 +178,15 @@ class _Columns:
         return counts.astype(np.float64)
 
 
-def _scan(cols: _Columns, packed, tree_of, pair_row, size, counts, impurity, cand, buf):
+def _scan(cols: _Columns, packed, tree_of, pair_row, size, counts, impurity, cand):
     """(nodes, feature, threshold, decrease, left class counts) of a frontier chunk's nodes
     that split, or None. Sorted keys ``(node * mf + j) * n + rank of the row in cand[node, j]``
     order each (node, feature) segment by value and a node's segments by feature. Class sums
     run in class order, as NumPy sums the per-node reference ``_scan_candidates`` for under 8
-    classes: the same bits. ``buf`` is a uint64 buffer of at least words * (entries + 1)."""
+    classes: the same bits. Each array is dropped once spent: the chunk's peak working set
+    bounds a fit's memory."""
     (d, n), (n_nodes, mf) = cols.order.shape, cand.shape
-    it = np.int32 if max(n_nodes * mf, d) * n < 2**31 else np.int64
+    it = np.int32 if max(n_nodes * mf, d) * n < 2**31 else np.int64  # keys, rows and features
     seg = np.arange(n_nodes * mf, dtype=it)
     cand = cand.astype(it)
     keys = np.repeat(cand * n, size, axis=0)
@@ -213,8 +214,7 @@ def _scan(cols: _Columns, packed, tree_of, pair_row, size, counts, impurity, can
     # run[:, k]: the packed class weights of the chunk's first k entries. Left of a boundary
     # are its segment's entries up to and including pos; right of it, the rest of the node's.
     row += np.repeat((tree_of * n).astype(it), size * mf)
-    run = buf[:packed.shape[0] * (row.size + 1)].reshape(packed.shape[0], row.size + 1)
-    run[:, 0] = 0
+    run = np.zeros((packed.shape[0], row.size + 1), np.uint64)
     packed.take(row, axis=1, out=run[:, 1:], mode="clip")
     del row
     np.cumsum(run, axis=1, out=run)
@@ -281,8 +281,6 @@ def _grow(task):
     # The in-bag rows of each eligible frontier node, node after node; roots first.
     pair_row = np.nonzero(weights[eligible])[1].astype(np.int32)
     size = np.count_nonzero(weights[eligible], axis=1)
-    # One scan buffer for every chunk: a chunk holds less than a budget and a node's entries.
-    buf = np.empty(packed.shape[0] * (min(pair_row.size * mf, _ENTRY_BUDGET + n * mf) + 1), np.uint64)
     node_tree, tree_size = np.arange(n_trees), np.ones(n_trees, dtype=np.int64)
     importance, levels = np.zeros((n_trees, d)), []
     none = (np.empty(0, np.intp),) * 2 + (np.empty(0),) * 2 + (np.empty((0, n_classes)),)
@@ -301,7 +299,7 @@ def _grow(task):
             for a, b in zip(bounds[:-1], bounds[1:]):
                 sel, rows = nodes[a:b], slice(end[a] - size[a], end[b - 1])
                 split = _scan(cols, packed, node_tree[sel], pair_row[rows], size[a:b],
-                              counts[sel], impurity[sel], cand[a:b], buf)
+                              counts[sel], impurity[sel], cand[a:b])
                 if split is not None:
                     found.append((split[0] + a, *split[1:]))
         split, feat, thr, dec, left_counts = (np.concatenate(c) for c in zip(*found))
