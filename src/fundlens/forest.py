@@ -147,14 +147,18 @@ class Tree:
 
 class _Columns:
     """A fit's rows sorted once: ``order[f, k]`` is the row with the k-th smallest
-    value of feature f (ties in row order), and ``rank[f, order[f, k]] == k``.
+    value of feature f (ties in row order), and ``rank[f, order[f, k]] == k``. X is read
+    through ``flat[row * steps[0] + feature * steps[1]]``, so a row-major X and the
+    column-major one that imputation builds are used without a copy.
 
     A class weight sum over a tree's rows is a whole number of at most n, so ``packed`` puts
     several classes, ``bits`` apart, into one uint64 word. Words add and subtract modulo 2**64,
     so a difference of two running sums holds each class's sum between them exactly."""
 
     def __init__(self, X, y_codes, n_classes):
-        self.X, self.y_codes, self.n_classes = np.ascontiguousarray(X), y_codes, n_classes
+        X = X if X.flags.c_contiguous or X.flags.f_contiguous else np.ascontiguousarray(X)
+        self.flat, self.steps = X.ravel(order="K"), np.array(X.strides) // X.itemsize
+        self.y_codes, self.n_classes = y_codes, n_classes
         n, d = X.shape
         self.order = np.argsort(X.T, axis=1, kind="stable").astype(np.int32)
         self.rank = np.empty_like(self.order)
@@ -200,7 +204,7 @@ def _scan(cols: _Columns, packed, tree_of, pair_row, size, counts, impurity, can
     keys += np.repeat((cand.ravel() - seg) * n, seg_size)
     row = cols.order.ravel().take(keys).astype(it, copy=False)
     del keys
-    value = cols.X.ravel().take(row * d + np.repeat(cand.ravel(), seg_size))
+    value = cols.flat.take(row * cols.steps[0] + np.repeat(cand.ravel() * cols.steps[1], seg_size))
     # pos: each entry just left of a boundary between distinct values of a segment.
     step = value[1:] > value[:-1]
     start = np.cumsum(seg_size) - seg_size
@@ -314,15 +318,16 @@ def _grow(task):
         tree_size += 2 * np.bincount(ptree, minlength=n_trees)
         # The next frontier: each split node's children, left then right, with the class
         # counts on each side of the boundary that split it.
-        counts = np.concatenate((left_counts, counts[parent] - left_counts), axis=1).reshape(-1, n_classes)
+        counts = np.concatenate((left_counts, counts[parent] - left_counts), axis=1)
+        counts = counts.reshape(-1, n_classes)
         total, impurity, eligible = frontier(counts, len(levels))
         node_tree = np.repeat(ptree, 2)
         # Route each pair of a split node to its child and keep the eligible children's pairs.
         child = np.full(nodes.size, -2)
         child[split] = 2 * np.arange(split.size)
         child = np.repeat(child, size)
-        child += (cols.X.ravel()[pair_row * d + np.repeat(feature[nodes], size)]
-                  > np.repeat(threshold[nodes], size))
+        at = pair_row * cols.steps[0] + np.repeat(feature[nodes] * cols.steps[1], size)
+        child += cols.flat[at] > np.repeat(threshold[nodes], size)
         keep = child >= 0
         keep[keep] = eligible[child[keep]]
         child, pair_row = child[keep], pair_row[keep]
