@@ -27,7 +27,7 @@ _SERIAL_VERSION = 1
 _TREE_DTYPES = {"feature": np.int32, "threshold": np.float64, "left": np.int32, "right": np.int32,
                 "counts": np.float64}
 #: Most (node, feature, row) entries a scan chunk holds before its last node. A chunk's
-#: working set is about 80 B an entry, so this budget bounds a fit's memory.
+#: working set is roughly 100 B an entry, so this budget bounds a fit's memory.
 _ENTRY_BUDGET = 1 << 14
 #: Most (tree, row) pairs a tree group holds: its trees share each level's calls, so 10
 #: trees on 600 rows grow as one group. This budget bounds the calls, not the memory.
@@ -283,15 +283,15 @@ def _grow(task):
 
     total, impurity, eligible = frontier(counts, 0)
     # The in-bag rows of each eligible frontier node, node after node; roots first.
-    pair_row = np.nonzero(weights[eligible])[1].astype(np.int32)
-    size = np.count_nonzero(weights[eligible], axis=1)
+    in_bag = weights[eligible]
+    pair_row, size = np.nonzero(in_bag)[1].astype(np.int32), np.count_nonzero(in_bag, axis=1)
     node_tree, tree_size = np.arange(n_trees), np.ones(n_trees, dtype=np.int64)
     importance, levels = np.zeros((n_trees, d)), []
-    none = (np.empty(0, np.intp),) * 2 + (np.empty(0),) * 2 + (np.empty((0, n_classes)),)
+    no_split = (np.empty(0, np.intp),) * 2 + (np.empty(0),) * 2 + (np.empty((0, n_classes)),)
     while node_tree.size:
         n_front, nodes = node_tree.size, np.flatnonzero(eligible)
         end = np.cumsum(size)
-        found = [none]
+        found = [no_split]
         if nodes.size:
             # Each tree draws one uniform block for its eligible nodes, in frontier order; a
             # node's candidates are the mf features with the smallest draws, sorted.
