@@ -438,8 +438,9 @@ def cmd_predict(cfg: RunConfig, paths: dict, campaign_file: str) -> int:
     registry = _registry(cfg)
     model_dir = paths["models"]
     src = _require(Path(campaign_file), "campaign file")
+    # Check the input paths and load the models before any campaign or feature input is
+    # read: a run without a model stops here.
     _feature_paths(cfg)
-    # The models before any campaign or feature input is read: a run without one stops here.
     models = {band: _load_band_model(model_dir, band) for band in BANDS
               if (model_dir / f"{band}.json").is_file()}
     if not models:
