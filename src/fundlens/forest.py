@@ -276,6 +276,7 @@ def _grow(task):
     del class_weight
 
     def frontier(counts, depth):
+        """Each frontier node's total weight, Gini impurity and whether it may split."""
         total = counts.sum(axis=1)
         impurity = 1.0 - ((counts / total[:, None]) ** 2).sum(axis=1)
         eligible = (total >= config.min_samples_split) & (impurity > 0.0)
