@@ -287,6 +287,16 @@ def test_tree_groups_and_scan_chunks_never_change_a_forest(monkeypatch, max_dept
     assert fit(X, y, cfg).to_json() == default
 
 
+def test_fit_reads_any_memory_layout():
+    # X is read in place through its strides when it is row- or column-major.
+    X, y = _tied_cohort()
+    cfg = ForestConfig(n_estimators=3, seed=1)
+    expected = fit(X, y, cfg).to_json()
+    wide = np.repeat(X, 2, axis=1)
+    for layout in (np.asfortranarray(X), wide[:, ::2], np.asfortranarray(wide)[:, ::2]):
+        assert fit(layout, y, cfg).to_json() == expected
+
+
 #: sha256 of ``json.dumps(fit(...).to_json(), sort_keys=True)`` for the fits of
 #: test_forest_bytes_are_pinned, computed before the scan-entry and tree-group budgets
 #: were split: a faster builder must leave every tree as it is. The forests follow
