@@ -254,10 +254,12 @@ def _fit_predict(task: _FitTask) -> np.ndarray:
     late = len(task.columns) > 1
     models = []
     xs = []
+    # Each model's rows and columns in one copy: fit rows first, then apply rows.
+    rows, n_fit = np.concatenate((task.fit_rows, task.apply_rows)), task.fit_rows.size
+    at = {name: j for j, name in enumerate(task.band.names)}
     for gi, names in enumerate(task.columns):
-        sub = task.band.select_names(names)
-        Xtr, Xte, out_names, _ = impute_with_indicators(
-            sub.values[task.fit_rows], sub.values[task.apply_rows], sub.names)
+        values = task.band.values[np.ix_(rows, [at[name] for name in names])]
+        Xtr, Xte, out_names, _ = impute_with_indicators(values[:n_fit], values[n_fit:], list(names))
         seed = _derived_seed(*task.seed_parts, "late", gi) if late else _derived_seed(*task.seed_parts)
         models.append(rf.fit(Xtr, task.y[task.fit_rows], replace(task.forest, seed=seed),
                              feature_names=out_names))

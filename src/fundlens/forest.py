@@ -2,12 +2,13 @@
 
 A fit sorts each column once and grows its trees in groups, the trees of a group together,
 one depth level at a time, over integer bootstrap row weights, as SLIQ and XGBoost's exact
-greedy search do; ``best_split`` is the per-node reference. Two budgets size the work: a
-group holds at most ``_GROUP_BUDGET`` (tree, row) pairs, and a level is scanned in chunks
-of about ``_ENTRY_BUDGET`` (node, feature, row) entries. A tree draws its bootstrap, then
-one block of candidate features per level, from its own generator seeded (config.seed,
-tree_index), so it depends on nothing else: not on groups, chunks or ``jobs``. Trees are
-flat arrays in breadth-first order. ``parallel_map`` is the one place that starts a pool.
+greedy search do; ``best_split`` in tests/forest_oracle.py is the per-node reference. Two
+budgets size the work: a group holds at most ``_GROUP_BUDGET`` (tree, row) pairs, and a
+level is scanned in chunks of about ``_ENTRY_BUDGET`` (node, feature, row) entries. A tree
+draws its bootstrap, then one block of candidate features per level, from its own generator
+seeded (config.seed, tree_index), so it depends on nothing else: not on groups, chunks or
+``jobs``. Trees are flat arrays in breadth-first order, numbered once the group's last
+level is grown. ``parallel_map`` is the one place that starts a pool.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateNode, InsufficientData, InvalidMatrix, ShapeError
+from .errors import ConfigError, InsufficientData, InvalidMatrix, ShapeError
 
 _SERIAL_VERSION = 1
 _TREE_DTYPES = {"feature": np.int32, "threshold": np.float64, "left": np.int32, "right": np.int32,
@@ -58,72 +59,6 @@ class ForestConfig:
         return max(1, min(mf, d))
 
 
-def gini(counts) -> float:
-    """CART impurity 1 - sum((c_i / N)^2)."""
-    counts = np.asarray(counts, dtype=np.float64)
-    if counts.min() < 0 or counts.sum() < 1:
-        raise DegenerateNode(f"bad class counts: {counts}")
-    p = counts / counts.sum()
-    return float(1.0 - (p * p).sum())
-
-
-def _scan_candidates(X, y_codes, rows, feats, n_classes, parent_impurity):
-    """Best (feature, threshold, impurity decrease) over candidate features.
-
-    Thresholds are midpoints of consecutive distinct sorted values; ties are
-    broken by lower feature index, then lower threshold (argmax keeps the
-    first maximum, and feats is sorted ascending).
-    """
-    m = rows.size
-    Xn = X[np.ix_(rows, feats)]
-    order = np.argsort(Xn, axis=0, kind="stable")
-    Xs = np.take_along_axis(Xn, order, axis=0)
-    ys = y_codes[rows][order]
-    oh = ys[..., None] == np.arange(n_classes)
-    cum = np.cumsum(oh, axis=0, dtype=np.float64)
-    total = cum[-1]
-    left = cum[:-1]
-    right = total[None, :, :] - left
-    nl = np.arange(1, m, dtype=np.float64)[:, None]
-    nr = float(m) - nl
-    il = 1.0 - ((left / nl[..., None]) ** 2).sum(axis=-1)
-    ir = 1.0 - ((right / nr[..., None]) ** 2).sum(axis=-1)
-    decrease = parent_impurity - (nl * il + nr * ir) / m
-    decrease[Xs[1:] <= Xs[:-1]] = -np.inf
-    best_pos = np.argmax(decrease, axis=0)
-    cols = np.arange(feats.size)
-    best_dec = decrease[best_pos, cols]
-    j = int(np.argmax(best_dec))
-    if not (best_dec[j] > 1e-15):
-        return None
-    pos = best_pos[j]
-    threshold = 0.5 * (Xs[pos, j] + Xs[pos + 1, j])
-    # For adjacent floats the midpoint can round up to the higher value, which
-    # would send every row left; fall back to the lower value (same partition).
-    if threshold >= Xs[pos + 1, j]:
-        threshold = Xs[pos, j]
-    return int(feats[j]), float(threshold), float(best_dec[j])
-
-
-def best_split(X, y, rows=None, features=None):
-    """Exhaustive best split over the given rows and candidate features.
-
-    Returns (feature_index, threshold, impurity_decrease) or None when no
-    split gives a positive decrease.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    labels, y_codes = np.unique(np.asarray(y), return_inverse=True)
-    rows = np.arange(X.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
-    feats = np.arange(X.shape[1]) if features is None else np.sort(np.asarray(features, dtype=np.intp))
-    counts = np.bincount(y_codes[rows], minlength=labels.size).astype(np.float64)
-    parent = gini(counts)
-    if parent <= 0.0:
-        return None
-    return _scan_candidates(X, y_codes, rows, feats, labels.size, parent)
-
-
 @dataclass
 class Tree:
     feature: np.ndarray    # int32; -1 marks a leaf
@@ -133,15 +68,18 @@ class Tree:
     counts: np.ndarray     # (n_nodes, n_classes) training-sample class counts
 
     def leaf_proba(self, X: np.ndarray) -> np.ndarray:
-        idx = np.zeros(X.shape[0], dtype=np.int32)
-        active = self.feature[idx] >= 0
-        while active.any():
-            cur = idx[active]
-            f = self.feature[cur]
-            go_left = X[active, f] <= self.threshold[cur]
-            idx[active] = np.where(go_left, self.left[cur], self.right[cur])
-            active = self.feature[idx] >= 0
-        cnt = self.counts[idx]
+        # child[2 * i] and child[2 * i + 1]: node i's right and left child, or i itself at a
+        # leaf. Every step moves every row, none masked: a row at a leaf stays there, and the
+        # walk ends when no row is left at an inner node (a leaf's feature -1 reads a real
+        # cell of X, whose value goes unused).
+        child = np.where(self.feature >= 0, np.array((self.right, self.left)),
+                         np.arange(self.feature.size)).T.ravel()
+        feature, flat = self.feature.astype(np.intp), X.ravel()
+        base, at = np.arange(X.shape[0]) * X.shape[1], np.zeros(X.shape[0], dtype=np.intp)
+        while (f := feature.take(at)).max(initial=-1) >= 0:
+            f += base
+            at = child.take(2 * at + (flat.take(f) <= self.threshold.take(at)))
+        cnt = self.counts[at]
         return cnt / cnt.sum(axis=1, keepdims=True)
 
 
@@ -151,108 +89,126 @@ class _Columns:
     through ``flat[row * steps[0] + feature * steps[1]]``, so a row-major X and the
     column-major one that imputation builds are used without a copy.
 
-    A class weight sum over a tree's rows is a whole number of at most n, so ``packed`` puts
-    several classes, ``bits`` apart, into one uint64 word. Words add and subtract modulo 2**64,
-    so a difference of two running sums holds each class's sum between them exactly."""
+    A class weight sum over a tree's rows is a whole number of at most n, so a packed word
+    holds several classes, ``bits`` apart: ``row_word[r]`` is 1 in the field of row r's class.
+    Words add and subtract modulo 2**64, so a difference of two running sums holds each
+    class's sum between them exactly."""
 
     def __init__(self, X, y_codes, n_classes):
         X = X if X.flags.c_contiguous or X.flags.f_contiguous else np.ascontiguousarray(X)
         self.flat, self.steps = X.ravel(order="K"), np.array(X.strides) // X.itemsize
-        self.y_codes, self.n_classes = y_codes, n_classes
         n, d = X.shape
         self.order = np.argsort(X.T, axis=1, kind="stable").astype(np.int32)
         self.rank = np.empty_like(self.order)
         np.put(self.rank, self.order + np.arange(0, d * n, n, dtype=np.int32)[:, None],
                np.arange(n, dtype=np.int32))
-        self.bits = n.bit_length()
+        self.bits, self.n_classes = n.bit_length(), n_classes
         self.word, shift = np.divmod(np.arange(n_classes), 64 // self.bits)
-        self.shift = (shift * self.bits).astype(np.uint64)[:, None]
-        self.to_word = np.where(self.word[:, None] == np.arange(self.word[-1] + 1),
-                                np.uint64(1) << self.shift, np.uint64(0))
-
-    def packed(self, counts):
-        """(words, rows) packed words of a (rows, classes) array of class counts."""
-        return (counts.astype(np.uint64) @ self.to_word).T
+        self.shift = (shift * self.bits).astype(np.uint64)
+        self.row_word = np.where(self.word[y_codes, None] == np.arange(self.word[-1] + 1),
+                                 np.uint64(1) << self.shift[y_codes, None], np.uint64(0))
+        self.one_hot = (y_codes[:, None] == np.arange(n_classes)).astype(np.int64)
 
     def unpacked(self, words):
-        """(classes, k) float class counts of (words, k) packed words."""
+        """(classes, ...) float class counts of (words, ...) packed words."""
         counts = words[self.word]
-        counts >>= self.shift
+        counts >>= self.shift.reshape((-1,) + (1,) * (words.ndim - 1))
         counts &= np.uint64((1 << self.bits) - 1)
         return counts.astype(np.float64)
 
 
-def _scan(cols: _Columns, packed, tree_of, pair_row, size, counts, impurity, cand):
-    """(nodes, feature, threshold, decrease, left class counts) of a frontier chunk's nodes
-    that split, or None. Sorted keys ``(node * mf + j) * n + rank of the row in cand[node, j]``
-    order each (node, feature) segment by value and a node's segments by feature. Class sums
-    run in class order, as NumPy sums the per-node reference ``_scan_candidates`` for under 8
-    classes: the same bits. Each array is dropped once spent: the chunk's peak working set
-    bounds a fit's memory."""
-    (d, n), (n_nodes, mf) = cols.order.shape, cand.shape
-    it = np.int32 if max(n_nodes * mf, d) * n < 2**31 else np.int64  # keys, rows and features
-    seg = np.arange(n_nodes * mf, dtype=it)
-    cand = cand.astype(it)
-    keys = np.repeat(cand * n, size, axis=0)
-    keys += pair_row[:, None]
-    keys = cols.rank.ravel().take(keys).astype(it, copy=False)
-    keys += np.repeat((seg * n).reshape(n_nodes, mf), size, axis=0)
+def _scan(cols: _Columns, packed, col_of, pair_row, size, total, impurity, cand):
+    """The splits of a frontier chunk's nodes, or None when none splits: (node, feature,
+    threshold, decrease) of each split node, then its children's class counts, in-bag rows and
+    row counts, left child then right, node after node.
+
+    Sorted keys ``(node * mf + j) << bits | rank of the row in cand[node, j]`` order each
+    (node, feature) segment by value and a node's segments by feature. Class sums run in
+    class order, as NumPy sums the per-node reference for under 8 classes: the same bits.
+    Each array is dropped once spent: the chunk's peak working set bounds a fit's memory."""
+    (n_nodes, mf), n, b = cand.shape, cols.order.shape[1], cols.bits
+    it = np.int32 if (n_nodes * mf) << b < 2**31 else np.int64  # keys
+    # Index arrays are intp: NumPy's take runs several times slower on int32 indices.
+    at = (cand * n).repeat(size, axis=0)
+    at += pair_row[:, None]
+    keys = cols.rank.ravel().take(at).astype(it, copy=False)
+    segment = np.arange(0, (n_nodes * mf) << b, 1 << b, dtype=it).reshape(n_nodes, mf)
+    keys |= segment.repeat(size, axis=0)
     keys = keys.ravel()
     keys.sort()
-    # key - segment * n is the row's rank: this makes each key the (feature, rank) index of order.
-    seg_size = np.repeat(size, mf)
-    keys += np.repeat((cand.ravel() - seg) * n, seg_size)
-    row = cols.order.ravel().take(keys).astype(it, copy=False)
-    del keys
-    value = cols.flat.take(row * cols.steps[0] + np.repeat(cand.ravel() * cols.steps[1], seg_size))
+    # key - (segment << bits) + feature * n is the (feature, rank) index of order.
+    seg_size, feature = size.repeat(mf), cand.ravel()
+    at = (feature * n - segment.ravel()).repeat(seg_size)
+    at += keys
+    row = cols.order.ravel().take(at)
+    at = (feature * cols.steps[1]).repeat(seg_size)
+    at += row * cols.steps[0]
+    value = cols.flat.take(at)
+    del at
     # pos: each entry just left of a boundary between distinct values of a segment.
+    end = seg_size.cumsum()
     step = value[1:] > value[:-1]
-    start = np.cumsum(seg_size) - seg_size
-    step[start[1:] - 1] = False
-    pos = np.flatnonzero(step)
+    step[end[:-1] - 1] = False
+    pos = step.nonzero()[0]
     del step
-    if pos.size == 0:
+    if not pos.size:
         return None
-    seg = np.searchsorted(start, pos, side="right") - 1
-    node = seg // mf
+    at_seg = np.right_shift(keys.take(pos), b, dtype=np.intp)
+    del keys
+    node = (np.arange(n_nodes * mf) // mf).take(at_seg)
     # run[:, k]: the packed class weights of the chunk's first k entries. Left of a boundary
-    # are its segment's entries up to and including pos; right of it, the rest of the node's.
-    row += np.repeat((tree_of * n).astype(it), size * mf)
+    # are its segment's entries up to and including pos; right of it, the rest of the segment.
+    col = col_of.repeat(size * mf)
+    col += row
     run = np.zeros((packed.shape[0], row.size + 1), np.uint64)
-    packed.take(row, axis=1, out=run[:, 1:], mode="clip")
-    del row
-    np.cumsum(run, axis=1, out=run)
-    words = run.take(pos + 1, axis=1)
-    words -= run.take(start[seg], axis=1)
-    del seg
-    # The reference's Gini of each side, 1 - sum((class / total) ** 2) in class order.
-    left = cols.unpacked(words)
-    nl = left.sum(axis=0)
-    np.square(np.divide(left, nl, out=left), out=left)
-    gini_left = 1.0 - left.sum(axis=0)
-    del left
-    np.subtract(cols.packed(counts).take(node, axis=1), words, out=words)
-    right = cols.unpacked(words)
-    nr = right.sum(axis=0)
-    np.square(np.divide(right, nr, out=right), out=right)
-    gini_right = 1.0 - right.sum(axis=0)
-    del right
-    decrease = impurity[node] - (nl * gini_left + nr * gini_right) / counts.sum(axis=1)[node]
-    del gini_left, gini_right, nl, nr
+    packed.take(col, axis=1, out=run[:, 1:], mode="clip")
+    del col
+    run.cumsum(axis=1, out=run)
+    edge = run.take(np.concatenate(([0], end)), axis=1)  # each segment's start, then its end
+    cut = run.take(pos + 1, axis=1)
+    del run
+    words = np.empty((cut.shape[0], 2, pos.size), np.uint64)  # (words, left and right, boundaries)
+    np.subtract(cut, edge.take(at_seg, axis=1), out=words[:, 0])
+    np.subtract(edge.take(at_seg + 1, axis=1), cut, out=words[:, 1])
+    del cut
+    # The reference's Gini of each side, 1 - sum((class / total) ** 2) in class order; one
+    # side at a time keeps each pass over the boundaries in cache.
+    weighed = []
+    for s in (0, 1):
+        counts = cols.unpacked(words[:, s])
+        side = counts.sum(axis=0)
+        counts /= side
+        np.square(counts, out=counts)
+        gini = counts.sum(axis=0)
+        del counts
+        np.subtract(1.0, gini, out=gini)
+        gini *= side
+        weighed.append(gini)
+    decrease = impurity.take(node) - (weighed[0] + weighed[1]) / total.take(node)
+    del weighed, side, gini
     # Segmented first max: the lower feature, then the lower threshold, wins a tie.
-    new = np.concatenate(([True], node[1:] != node[:-1]))
-    starts = np.flatnonzero(new)
+    new = np.empty(node.size, dtype=bool)
+    new[0] = True
+    np.not_equal(node[1:], node[:-1], out=new[1:])
+    starts = new.nonzero()[0]
     best = np.maximum.reduceat(decrease, starts)
     best_of = np.empty(n_nodes)
-    best_of[node[starts]] = best
-    hit = np.where(decrease == best_of[node], np.arange(pos.size), pos.size)
+    best_of[node.take(starts)] = best
+    hit = np.where(decrease == best_of.take(node), np.arange(pos.size), pos.size)
     first = np.minimum.reduceat(hit, starts)[best > 1e-15]
-    at, node = pos[first], node[first]
-    lo, hi = value[at], value[at + 1]
+    at, at_seg = pos.take(first), at_seg.take(first)
+    lo, hi = value.take(at), value.take(at + 1)
     # Between adjacent floats the midpoint can round up to hi: then use lo (same partition).
-    threshold = np.where(0.5 * (lo + hi) >= hi, lo, 0.5 * (lo + hi))
-    feature = cand.ravel()[np.searchsorted(start, at, side="right") - 1]
-    return node, feature, threshold, decrease[first], counts[node] - cols.unpacked(words[:, first]).T
+    mid = 0.5 * (lo + hi)
+    threshold = np.where(mid >= hi, lo, mid)
+    # The rows of each winning segment, in value order, are its node's left then right rows.
+    won = np.zeros(seg_size.size, dtype=bool)
+    won[at_seg] = True
+    left = at + 1 - (end - seg_size).take(at_seg)
+    child_size = np.array((left, end.take(at_seg) - at - 1)).T.ravel()
+    child_counts = cols.unpacked(words[:, :, first]).T.reshape(-1, cols.n_classes)
+    return (node.take(first), feature.take(at_seg), threshold, decrease.take(first),
+            child_counts, row[won.repeat(seg_size)], child_size)
 
 
 def _grow(task):
@@ -260,88 +216,86 @@ def _grow(task):
     in groups of at most ``_GROUP_BUDGET`` (tree, row) pairs; a level scans its frontier in
     chunks of about ``_ENTRY_BUDGET`` entries, never splitting a node across chunks."""
     cols, config, indices = task
-    (d, n), n_classes = cols.order.shape, cols.n_classes
+    d, n = cols.order.shape
     group = max(1, _GROUP_BUDGET // n)
     if len(indices) > group:
         return [p for i in range(0, len(indices), group)
                 for p in _grow((cols, config, indices[i:i + group]))]
     mf, n_trees = config.resolved_max_features(d), len(indices)
     rngs = [np.random.default_rng([config.seed, t]) for t in indices]
-    weights = (np.stack([np.bincount(r.integers(0, n, n), minlength=n) for r in rngs])
+    weights = (np.array([np.bincount(r.integers(0, n, n), minlength=n) for r in rngs])
                if config.bootstrap else np.ones((n_trees, n), dtype=np.int64))
     # packed[:, t * n + r]: row r's weight in tree t, in its class's field.
-    class_weight = weights[:, :, None] * (cols.y_codes[:, None] == np.arange(n_classes))
-    packed = cols.packed(class_weight.reshape(n_trees * n, n_classes))
-    counts = class_weight.sum(axis=1).astype(np.float64)
-    del class_weight
-
-    def frontier(counts, depth):
-        """Each frontier node's total weight, Gini impurity and whether it may split."""
+    packed = (weights.astype(np.uint64)[:, :, None] * cols.row_word).reshape(n_trees * n, -1).T
+    counts = (weights @ cols.one_hot).astype(np.float64)
+    # The in-bag rows of each frontier node, node after node, and their number; roots first.
+    rows, sizes = weights.nonzero()[1].astype(np.int32), np.count_nonzero(weights, axis=1)
+    del weights
+    node_tree, levels = np.arange(n_trees), []
+    while True:
+        # Each frontier node's total weight, Gini impurity and whether it may split.
         total = counts.sum(axis=1)
         impurity = 1.0 - ((counts / total[:, None]) ** 2).sum(axis=1)
         eligible = (total >= config.min_samples_split) & (impurity > 0.0)
-        return total, impurity, eligible & (config.max_depth is None or depth < config.max_depth)
-
-    total, impurity, eligible = frontier(counts, 0)
-    # The in-bag rows of each eligible frontier node, node after node; roots first.
-    in_bag = weights[eligible]
-    pair_row, size = np.nonzero(in_bag)[1].astype(np.int32), np.count_nonzero(in_bag, axis=1)
-    node_tree, tree_size = np.arange(n_trees), np.ones(n_trees, dtype=np.int64)
-    importance, levels = np.zeros((n_trees, d)), []
-    no_split = (np.empty(0, np.intp),) * 2 + (np.empty(0),) * 2 + (np.empty((0, n_classes)),)
-    while node_tree.size:
-        n_front, nodes = node_tree.size, np.flatnonzero(eligible)
-        end = np.cumsum(size)
-        found = [no_split]
-        if nodes.size:
-            # Each tree draws one uniform block for its eligible nodes, in frontier order; a
-            # node's candidates are the mf features with the smallest draws, sorted.
-            per_tree = np.bincount(node_tree[nodes], minlength=n_trees)
-            draws = np.concatenate([r.random((c, d)) for r, c in zip(rngs, per_tree) if c])
-            cand = np.sort(np.argsort(draws, axis=1)[:, :mf], axis=1)
+        if config.max_depth is not None and len(levels) >= config.max_depth or not eligible.any():
+            levels.append((node_tree, counts, total, None))
+            break
+        nodes = eligible.nonzero()[0]
+        pair_row, size = rows[eligible.repeat(sizes)], sizes[eligible]
+        # Each tree draws one uniform block for its eligible nodes, in frontier order; a
+        # node's candidates are the mf features with the smallest draws, sorted.
+        per_tree = np.bincount(node_tree[nodes], minlength=n_trees).tolist()
+        draws = np.concatenate([r.random((c, d)) for r, c in zip(rngs, per_tree) if c])
+        cand, col_of = np.sort(draws.argsort(axis=1)[:, :mf], axis=1), node_tree[nodes] * n
+        if (pair_row.size - size[-1]) * mf < _ENTRY_BUDGET:  # one chunk: the usual case
+            split = _scan(cols, packed, col_of, pair_row, size, total[nodes], impurity[nodes], cand)
+        else:
+            end = size.cumsum()
             chunk = (end - size) * mf // _ENTRY_BUDGET
             bounds = np.flatnonzero(np.concatenate(([True], chunk[1:] != chunk[:-1], [True])))
-            for a, b in zip(bounds[:-1], bounds[1:]):
-                sel, rows = nodes[a:b], slice(end[a] - size[a], end[b - 1])
-                split = _scan(cols, packed, node_tree[sel], pair_row[rows], size[a:b],
-                              counts[sel], impurity[sel], cand[a:b])
-                if split is not None:
-                    found.append((split[0] + a, *split[1:]))
-        split, feat, thr, dec, left_counts = (np.concatenate(c) for c in zip(*found))
-        parent, ptree = nodes[split], node_tree[nodes[split]]
-        feature, left = np.full((2, n_front), -1, dtype=np.int32)
-        threshold = np.zeros(n_front)
-        feature[parent], threshold[parent] = feat, thr
-        np.add.at(importance, (ptree, feat), total[parent] * dec)
-        # Each tree's children take its next ids, in frontier order, left then right.
-        left[parent] = tree_size[ptree] + 2 * (np.arange(parent.size) - np.searchsorted(ptree, ptree))
-        levels.append((node_tree, feature, threshold, left, np.where(left < 0, -1, left + 1), counts))
-        tree_size += 2 * np.bincount(ptree, minlength=n_trees)
-        # The next frontier: each split node's children, left then right, with the class
-        # counts on each side of the boundary that split it.
-        counts = np.concatenate((left_counts, counts[parent] - left_counts), axis=1)
-        counts = counts.reshape(-1, n_classes)
-        total, impurity, eligible = frontier(counts, len(levels))
-        node_tree = np.repeat(ptree, 2)
-        # Route each pair of a split node to its child and keep the eligible children's pairs.
-        child = np.full(nodes.size, -2)
-        child[split] = 2 * np.arange(split.size)
-        child = np.repeat(child, size)
-        at = pair_row * cols.steps[0] + np.repeat(feature[nodes] * cols.steps[1], size)
-        child += cols.flat[at] > np.repeat(threshold[nodes], size)
-        keep = child >= 0
-        keep[keep] = eligible[child[keep]]
-        child, pair_row = child[keep], pair_row[keep]
-        # A counting sort by child that keeps each child's pairs in order: the pairs that went
-        # left fill the left children's slots, in order, and those that went right the rest.
-        size = np.bincount(child, minlength=eligible.size)
-        to_left, went_left = np.repeat(np.arange(eligible.size) % 2 == 0, size), child % 2 == 0
-        pair_row[to_left], pair_row[~to_left] = pair_row[went_left], pair_row[~went_left]
-        size = size[eligible]
-    tree_of = np.concatenate([lv[0] for lv in levels])
-    by_tree, cuts = np.argsort(tree_of, kind="stable"), np.cumsum(np.bincount(tree_of))[:-1]
-    arrays = [np.split(np.concatenate([lv[i] for lv in levels])[by_tree], cuts) for i in range(1, 6)]
-    return [(Tree(*parts), imp) for *parts, imp in zip(*arrays, importance)]
+            found = []
+            for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+                sel = nodes[a:b]
+                part = _scan(cols, packed, col_of[a:b], pair_row[end[a] - size[a]:end[b - 1]],
+                             size[a:b], total[sel], impurity[sel], cand[a:b])
+                if part is not None:
+                    found.append((part[0] + a, *part[1:]))
+            split = tuple(np.concatenate(c) for c in zip(*found)) if found else None
+        if split is None:
+            levels.append((node_tree, counts, total, None))
+            break
+        node, feature, threshold, decrease, child_counts, rows, sizes = split
+        parent = nodes[node]
+        levels.append((node_tree, counts, total, (parent, feature, threshold, decrease)))
+        node_tree, counts = node_tree[parent].repeat(2), child_counts
+    return _trees(levels, n_trees, d)
+
+
+def _trees(levels, n_trees, d):
+    """[(Tree, importance)] of a group's levels: (frontier trees, class counts and total
+    weights, then the frontier index, feature, threshold and decrease of each split node, or
+    None on the last level). A level's frontier is the children of the one before, two a split
+    node, in order; a tree's nodes are numbered breadth-first."""
+    node_tree = np.concatenate([lv[0] for lv in levels])
+    offset = np.cumsum([0] + [lv[0].size for lv in levels]).tolist()
+    splits = [(lv[3][0] + o, *lv[3][1:], lv[2][lv[3][0]]) for lv, o in zip(levels[:-1], offset)]
+    parent, feature, threshold, decrease, total = (np.concatenate(c) for c in zip(*splits or [
+        (np.empty(0, np.intp), np.empty(0, np.int32), np.empty(0), np.empty(0), np.empty(0))]))
+    importance = np.zeros((n_trees, d))
+    np.add.at(importance, (node_tree[parent], feature), total * decrease)
+    by_tree, tree_size = node_tree.argsort(kind="stable"), np.bincount(node_tree, minlength=n_trees)
+    tree_end = tree_size.cumsum()
+    local = np.empty(node_tree.size, dtype=np.int32)
+    local[by_tree] = np.arange(node_tree.size) - (tree_end - tree_size).repeat(tree_size)
+    feat, left = np.full((2, node_tree.size), -1, dtype=np.int32)
+    thr = np.zeros(node_tree.size)
+    feat[parent], thr[parent] = feature, threshold
+    # Each split node's left child is the next level's next node; its right child follows it.
+    left[parent] = local[offset[1]::2]
+    arrays = [a[by_tree] for a in (feat, thr, left, np.where(left < 0, -1, left + 1),
+                                  np.concatenate([lv[1] for lv in levels]))]
+    bounds = zip([0, *tree_end[:-1].tolist()], tree_end.tolist())
+    return [(Tree(*(a[s:e] for a in arrays)), imp) for (s, e), imp in zip(bounds, importance)]
 
 
 class RandomForest:
@@ -356,7 +310,7 @@ class RandomForest:
         return len(self.feature_names)
 
     def _check(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
+        X = np.ascontiguousarray(X, dtype=np.float64)  # each tree's walk reads X.ravel()
         if X.ndim == 1:
             X = X[None, :]
         if X.shape[1] != self.n_features:

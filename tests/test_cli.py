@@ -321,6 +321,43 @@ def test_main_dispatches_through_the_module_attribute(pipeline_dir, monkeypatch)
     assert main(["report", *base]) == 42
 
 
+def _exit(parse, argv, capsys):
+    """(exit code, stdout, stderr) of a parse that ends in SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+def test_build_parser_without_a_stage_parses_every_stage():
+    parser = build_parser()
+    for stage, (_, arg) in cli.STAGES.items():
+        args = parser.parse_args([stage, "--trees", "3", *(["x"] if arg else [])])
+        assert (args.command, args.trees) == (stage, "3")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["evaluate", "-h"], ["predict", "--help"],
+                                  ["synth", "-h"]])
+def test_help_reads_as_the_full_parsers(argv, capsys):
+    # main builds only the named stage's options; its help must not change.
+    expected = _exit(build_parser().parse_args, argv, capsys)
+    assert _exit(main, argv, capsys) == expected
+    assert expected[0] == 0 and expected[1].startswith("usage: fundlens")
+    if argv == ["-h"]:
+        assert all(stage in expected[1] for stage in cli.STAGES)
+
+
+@pytest.mark.parametrize("argv", [["bogus"], [], ["--trees", "3"], ["evaluate", "--bogus", "1"],
+                                  ["synth"]])
+def test_unknown_command_or_argument_exits_2_as_before(argv, capsys):
+    expected = _exit(build_parser().parse_args, argv, capsys)
+    assert _exit(main, argv, capsys) == expected
+    assert expected[0] == 2 and expected[2].startswith("usage: fundlens")
+    if argv[:1] != ["synth"]:  # the top-level usage line, which names every stage
+        assert "{synth,ingest,featurize,screen,evaluate,train,predict,report}" in expected[2]
+    if argv == ["bogus"]:
+        assert "invalid choice: 'bogus'" in expected[2]
+
+
 def test_unparseable_data_exits_3(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("{broken\n")

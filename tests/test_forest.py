@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from fundlens.errors import DegenerateNode, ConfigError, InsufficientData, InvalidMatrix, ShapeError
 import fundlens.forest as forest_module
-from fundlens.forest import ForestConfig, RandomForest, best_split, fit, gini, parallel_map
+from fundlens.forest import ForestConfig, RandomForest, fit, parallel_map
+from forest_oracle import best_split, gini, masked_leaf_proba
 
 
 def _blobs(n=200, d=4, seed=0, sep=3.0):
@@ -49,6 +50,25 @@ def test_best_split_hand_case():
     assert feature == 0
     assert threshold == pytest.approx(6.0)
     assert decrease == pytest.approx(0.5)
+
+
+def test_a_nodes_gini_sums_its_classes_in_order():
+    # 1 - (0.04 + 0.04 + 0.36) is 0.56 in class order and 0.5599999999999999 reversed, so a
+    # builder that sums a child's classes in another order stores another decrease.
+    assert (gini([1, 1, 3]), gini([3, 1, 1])) == (0.56, 0.5599999999999999)
+    X, y = np.arange(7.0)[:, None], np.array([0, 1, 2, 2, 2, 1, 1])
+    model = fit(X, y, ForestConfig(n_estimators=1, bootstrap=False, max_depth=1, seed=0))
+    np.testing.assert_array_equal(model.trees[0].counts, [[1, 3, 3], [1, 1, 3], [0, 2, 0]])
+    decrease = gini([1, 3, 3]) - (5 * gini([1, 1, 3]) + 2 * gini([0, 2, 0])) / 7
+    assert model.to_json()["importance_raw"] == [7 * decrease] == [1.4857142857142858]
+
+
+def test_a_node_whose_splits_all_keep_its_class_mix_stays_a_leaf():
+    # Two distinct values, but each side holds one row of each class: no positive decrease.
+    X, y = np.array([[0.0], [0.0], [1.0], [1.0]]), np.array([0, 1, 0, 1])
+    assert best_split(X, y) is None
+    model = fit(X, y, ForestConfig(n_estimators=1, bootstrap=False, seed=0))
+    np.testing.assert_array_equal(model.trees[0].feature, [-1])
 
 
 def test_best_split_tie_prefers_lower_feature_index():
@@ -190,6 +210,7 @@ def test_level_builder_matches_best_split_at_every_node(case):
     n, d = X.shape
     mf = config.resolved_max_features(d)
     labels, y_codes = np.unique(y, return_inverse=True)
+    importance = np.zeros((len(model.trees), d))
     for t, tree in enumerate(model.trees):
         rng = np.random.default_rng([config.seed, t])
         rows = np.sort(rng.integers(0, n, n)) if config.bootstrap else np.arange(n)
@@ -213,6 +234,7 @@ def test_level_builder_matches_best_split_at_every_node(case):
                     assert tree.feature[node] == -1
                     continue
                 assert (tree.feature[node], tree.threshold[node]) == split[:2]
+                importance[t, split[0]] += rows.size * split[2]
                 # Children take the tree's next ids, breadth-first.
                 assert (tree.left[node], tree.right[node]) == (n_nodes, n_nodes + 1)
                 n_nodes += 2
@@ -220,6 +242,9 @@ def test_level_builder_matches_best_split_at_every_node(case):
                 level += [(tree.left[node], rows[go_left]), (tree.right[node], rows[~go_left])]
             depth += 1
         assert n_nodes == tree.feature.size
+    # Each split's weight times its decrease, added up breadth-first in each tree, then over
+    # the trees: the builder must store the same bits, so its Gini arithmetic is the oracle's.
+    assert model.to_json()["importance_raw"] == np.sum(importance, axis=0).tolist()
 
 
 def test_a_tree_depends_only_on_seed_and_index(monkeypatch):
@@ -229,7 +254,7 @@ def test_a_tree_depends_only_on_seed_and_index(monkeypatch):
     first5 = fit(X, y, replace(cfg, n_estimators=5)).to_json()["trees"]
     assert first5 == json.loads(full)["trees"][:5]
     assert json.dumps(fit(X, y, cfg, jobs=3).to_json(), sort_keys=True) == full
-    # One tree per group and about one node per scan chunk.
+    # All 12 trees still grow as one group; each level is scanned about one node a chunk.
     monkeypatch.setattr(forest_module, "_ENTRY_BUDGET", 64)
     assert json.dumps(fit(X, y, cfg).to_json(), sort_keys=True) == full
 
@@ -363,6 +388,22 @@ def test_parallel_map_keeps_task_order_and_caps_workers(monkeypatch):
     assert parallel_map(_square, [7], jobs=4) == [49]
     assert parallel_map(_square, tasks, jobs=1) == [9, 1, 16, 1, 25]
     assert started == [5, 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fit_cases(), st.sampled_from([None, 0, 2]), st.booleans())
+def test_predict_proba_matches_the_masked_walk(case, max_depth, reload):
+    # Single-leaf trees, trees with no depth limit and one to four classes, as fitted and as
+    # loaded back: every row's probabilities are those of the masked walk, bit for bit.
+    X, y, config = case
+    model = fit(X, y, replace(config, max_depth=max_depth))
+    if reload:
+        model = RandomForest.from_json(json.loads(json.dumps(model.to_json())))
+    rows = np.vstack((X, X[::-1] + 0.5))
+    expected = np.zeros((rows.shape[0], model.labels.size))
+    for tree in model.trees:
+        expected += masked_leaf_proba(tree, rows)
+    assert model.predict_proba(rows).tobytes() == (expected / len(model.trees)).tobytes()
 
 
 def test_predict_proba_properties():
