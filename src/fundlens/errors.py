@@ -88,10 +88,6 @@ class NonConvergence(FundlensError):
     """Iterative numeric routine failed to converge; never a silent wrong value."""
 
 
-class DegenerateNode(FundlensError):
-    pass
-
-
 class SurrogateUnavailable(FundlensError):
     """Lexicon lacks the categories the surrogate summary variable needs."""
 

@@ -41,16 +41,6 @@ class ImageQuality:
                 raise RangeError(f"quality score out of [1, 10]: {v}")
 
 
-@dataclass(frozen=True)
-class FaceAttributes:
-    gender: str                   # "male" or "female"
-    age: float                    # [0, 100]
-    beauty_female_rater: float    # [0, 100]
-    beauty_male_rater: float      # [0, 100]
-    smile: bool
-    emotion: dict                 # the 7 canonical keys, scores sum to 100 +- 0.5
-
-
 def is_finite_number(v) -> bool:
     """A finite int or float and never a bool, the rule of ``Campaign.from_record``."""
     try:
@@ -150,21 +140,12 @@ FACES_FILE = "faces.jsonl"
 
 
 def write_faces(root, faces_by_ref) -> str:
-    """Write <root>/faces.jsonl: one line per image_ref of ``faces_by_ref``, in its order."""
+    """Write <root>/faces.jsonl: one line per image_ref of ``faces_by_ref``, in its
+    order, holding that image's list of provider face objects as given."""
     path = os.path.join(root, FACES_FILE)
     with open(path, "w", encoding="utf-8") as fh:
         for ref, faces in faces_by_ref.items():
-            payload = [
-                {
-                    "gender": f.gender,
-                    "age": f.age,
-                    "beauty": {"female_score": f.beauty_female_rater, "male_score": f.beauty_male_rater},
-                    "smile": {"value": f.smile},
-                    "emotion": dict(f.emotion),
-                }
-                for f in faces
-            ]
-            fh.write(json.dumps({"faces": payload, "image_ref": ref}, sort_keys=True) + "\n")
+            fh.write(json.dumps({"faces": faces, "image_ref": ref}, sort_keys=True) + "\n")
     return path
 
 

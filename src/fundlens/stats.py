@@ -201,7 +201,7 @@ class SignificantFeature:
 
 
 def screen(values: np.ndarray, feature_names, ratios, band: str, category: str,
-           alpha: float = 0.05, min_n: int = MIN_CELL_N):
+           alpha: float = 0.05):
     """Screen one (band, category, modality) cell of features against the ratio.
 
     ``values`` is an (n_campaigns, n_features) matrix for the cell; NaN marks
@@ -216,8 +216,8 @@ def screen(values: np.ndarray, feature_names, ratios, band: str, category: str,
         raise ShapeError("values must be (n, n_features) aligned with feature_names")
     if values.shape[0] != ratios.size:
         raise ShapeError("ratio vector must align with matrix rows")
-    if values.shape[0] < min_n:
-        notes.append(f"skipped cell {band}/{category}: n={values.shape[0]} < {min_n}")
+    if values.shape[0] < MIN_CELL_N:
+        notes.append(f"skipped cell {band}/{category}: n={values.shape[0]} < {MIN_CELL_N}")
         return [], notes
     m = len(feature_names)
     threshold = bonferroni_threshold(alpha, m)
@@ -226,8 +226,9 @@ def screen(values: np.ndarray, feature_names, ratios, band: str, category: str,
         col = values[:, j]
         mask = np.isfinite(col) & np.isfinite(ratios)
         n_eff = int(mask.sum())
-        if n_eff < min_n:
-            notes.append(f"skipped feature {name!r} in {band}/{category}: effective n={n_eff} < {min_n}")
+        if n_eff < MIN_CELL_N:
+            notes.append(f"skipped feature {name!r} in {band}/{category}: "
+                         f"effective n={n_eff} < {MIN_CELL_N}")
             continue
         xj = col[mask]
         yj = ratios[mask]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import date, timedelta
 from pathlib import Path
@@ -22,7 +21,7 @@ import numpy as np
 
 from .core import CategoryRegistry, GoalBand, MAX_RATIO
 from .errors import SpecError
-from .images import EMOTION_KEYS, FACES_FILE, FaceAttributes, write_faces
+from .images import EMOTION_KEYS, FACES_FILE, is_finite_number, write_faces
 from .text import Lexicon
 
 _STATES = ("NY", "CA", "TX", "IL", "WA", "OH", "FL", "PA", "GA", "MI")
@@ -94,20 +93,25 @@ class SynthSpec:
     @classmethod
     def from_dict(cls, payload: dict) -> "SynthSpec":
         """The spec of a JSON object; each optional scalar key is converted by its
-        field's type. An unknown key or a value that will not convert is a SpecError."""
+        field's type. An unknown key, a bool, a float for an int field or a value
+        that will not convert is a SpecError."""
         if not isinstance(payload, dict):
             raise SpecError("synthetic spec must be a JSON object")
         unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise SpecError(f"unknown synthetic spec keys: {sorted(unknown)}")
         types = get_type_hints(cls)
+        scalars = {f.name: payload[f.name] for f in fields(cls)
+                   if f.default is not MISSING and f.name in payload}
+        for name, value in scalars.items():
+            if isinstance(value, bool) or types[name] is int and isinstance(value, float):
+                raise SpecError(f"SynthSpec.{name} must be {_KINDS[types[name]]}, got {value!r}")
         try:
             return cls(
                 cells=[Cell(**c) for c in payload["cells"]],
                 effects=[PlantedEffect(**e) for e in payload.get("effects", [])],
                 interactions=[Interaction(**i) for i in payload.get("interactions", [])],
-                **{f.name: types[f.name](payload[f.name]) for f in fields(cls)
-                   if f.default is not MISSING and f.name in payload},
+                **{name: types[name](value) for name, value in scalars.items()},
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SpecError(f"malformed synthetic spec: {exc}") from exc
@@ -135,9 +139,8 @@ class SynthSpec:
                 if kind not in _KINDS:  # the spec's record lists
                     continue
                 value = getattr(record, name)
-                accepted = (int, float) if kind is float else kind
-                if (isinstance(value, bool) or not isinstance(value, accepted)
-                        or kind is float and not abs(value) <= sys.float_info.max):
+                if (not is_finite_number(value) if kind is float
+                        else isinstance(value, bool) or not isinstance(value, kind)):
                     raise SpecError(f"{type(record).__name__}.{name} must be {_KINDS[kind]}, "
                                     f"got {value!r}")
         band_names = {b.name for b in GoalBand}
@@ -175,7 +178,7 @@ class SynthDataset:
     campaigns: list        # JSON-serializable campaign dicts
     census_rows: list      # (city, state, population)
     quality_rows: list     # (image_ref, aesthetic, technical)
-    faces: dict            # image_ref -> list[FaceAttributes]
+    faces: dict            # image_ref -> its faces.jsonl face objects
     manifest: dict
 
 
@@ -188,20 +191,21 @@ def _draw(rng, pool: list, k: int) -> list:
     return [pool[i] for i in rng.integers(0, len(pool), size=k).tolist()]
 
 
-def _make_faces(rng, num_faces: int, mean_age: float):
+def _make_faces(rng, num_faces: int, mean_age: float) -> list:
+    """num_faces face objects of the provider's faces.jsonl schema."""
     faces = []
     for _ in range(num_faces):
         raw = rng.gamma(2.0, 1.0, size=7)
         emotion = dict(zip(EMOTION_KEYS, (100.0 * raw / raw.sum()).tolist()))
         age = min(max(rng.normal(mean_age, 3.0), 0.0), 100.0)
-        faces.append(FaceAttributes(
-            gender="female" if rng.random() < 0.5 else "male",
-            age=age,
-            beauty_female_rater=float(rng.uniform(20, 90)),
-            beauty_male_rater=float(rng.uniform(20, 90)),
-            smile=bool(rng.random() < 0.4),
-            emotion=emotion,
-        ))
+        faces.append({
+            "gender": "female" if rng.random() < 0.5 else "male",
+            "age": age,
+            "beauty": {"female_score": float(rng.uniform(20, 90)),
+                       "male_score": float(rng.uniform(20, 90))},
+            "smile": {"value": bool(rng.random() < 0.4)},
+            "emotion": emotion,
+        })
     return faces
 
 

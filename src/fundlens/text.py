@@ -25,11 +25,6 @@ _TOKEN = re.compile(r"[^\W_]+(?:'[^\W_]+)*", re.UNICODE)
 CLOUT_SCALE = 2.0
 
 
-def tokenize(text: str):
-    """Lowercased tokens; split on anything that is not a letter, digit, or internal apostrophe."""
-    return _TOKEN.findall(text.lower())
-
-
 @dataclass
 class LexiconEntry:
     pattern: str
@@ -174,7 +169,7 @@ def extract(text: str, lexicon: Lexicon) -> TextFeatures:
     return TextFeatures(word_count=n, percentages=percentages)
 
 
-def clout_surrogate(features: TextFeatures, scale: float = CLOUT_SCALE) -> float:
+def clout_surrogate(features: TextFeatures) -> float:
     """Confidence-tone score in [0, 100], a logistic map of we% + you% - i%.
 
     This stands in for the proprietary summary variable whose formula is
@@ -183,7 +178,7 @@ def clout_surrogate(features: TextFeatures, scale: float = CLOUT_SCALE) -> float
     for cat in ("we", "you", "i"):
         if cat not in features.percentages:
             raise SurrogateUnavailable(f"lexicon lacks required category {cat!r}")
-    z = (features.percentages["we"] + features.percentages["you"] - features.percentages["i"]) / scale
+    z = (features.percentages["we"] + features.percentages["you"] - features.percentages["i"]) / CLOUT_SCALE
     # Guard exp overflow for extreme inputs; limits are exactly 0 and 100.
     if z > 500:
         return 100.0

@@ -7,7 +7,11 @@ candidate features, bit for bit.
 
 import numpy as np
 
-from fundlens.errors import DegenerateNode
+from fundlens.errors import FundlensError
+
+
+class DegenerateNode(FundlensError):
+    """Class counts of no node: a negative count, or none at all."""
 
 
 def gini(counts) -> float:

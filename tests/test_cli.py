@@ -394,9 +394,12 @@ def _spec_bytes(**changes) -> bytes:
     _spec_bytes(missing_city_rate=-0.01),
     _spec_bytes(background_poisson=-1),
     _spec_bytes(background_poisson=float("inf")),
+    _spec_bytes(noise_sigma=True),
+    _spec_bytes(words_per_description=120.9),
 ], ids=["invalid-json", "not-utf8", "str-scalar", "null-scalar", "unknown-key", "str-n",
         "str-slope", "infinite-magnitude", "not-an-object", "nan-noise", "infinite-base-ratio",
-        "city-rate-7", "negative-city-rate", "negative-poisson", "infinite-poisson"])
+        "city-rate-7", "negative-city-rate", "negative-poisson", "infinite-poisson",
+        "bool-scalar", "fractional-int-scalar"])
 def test_malformed_spec_exits_3(tmp_path, capsys, blob):
     spec = tmp_path / "spec.json"
     spec.write_bytes(blob)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from face_oracle import face_attributes, face_columns
+from face_oracle import face_columns
 from fundlens.core import Campaign
 from fundlens.errors import EmptySetting, SchemaError
 from fundlens.experiment import Setting, _model_columns, assemble
@@ -173,7 +173,7 @@ def test_face_columns_equal_the_oracle_bit_for_bit(registry, lexicon, tmp_path):
         matrix = build_feature_matrix(campaigns, registry, lexicon, face_provider=StubFaceProvider(root))
         got = np.ascontiguousarray(matrix.values[:, [matrix.names.index(n) for n in columns]])
         want = [[math.nan] * len(FACE_COLUMNS) + [1.0] if c.cover_image is None else
-                face_columns([face_attributes(f) for f in faces_by_ref.get(c.cover_image, [])]) + [0.0]
+                face_columns(faces_by_ref.get(c.cover_image, [])) + [0.0]
                 for c in campaigns]
         assert got.tobytes() == np.array(want).tobytes()
         assert matrix.column("is_child")[0] == 0.0  # CHILD_AGE itself is no child
@@ -193,13 +193,13 @@ def test_build_feature_matrix_columns(registry, lexicon, tmp_path):
     census = tmp_path / "census.csv"
     census.write_text("city,state,population\nSpringfield,IL,114230\n")
     table = load_population_table(census)
-    face = face_attributes({
+    face = {
         "gender": "male", "age": 8.0,
         "beauty": {"female_score": 50.0, "male_score": 50.0},
         "smile": {"value": True},
         "emotion": {"anger": 0.0, "disgust": 0.0, "fear": 0.0, "happiness": 100.0,
                     "neutral": 0.0, "sadness": 0.0, "surprise": 0.0},
-    })
+    }
     write_faces(tmp_path, {"img_0.ppm": [face]})
     provider = StubFaceProvider(tmp_path)
 

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fundlens.errors import DegenerateNode, ConfigError, InsufficientData, InvalidMatrix, ShapeError
+from fundlens.errors import ConfigError, InsufficientData, InvalidMatrix, ShapeError
 import fundlens.forest as forest_module
 from fundlens.forest import ForestConfig, RandomForest, fit, parallel_map
-from forest_oracle import best_split, gini, masked_leaf_proba
+from forest_oracle import DegenerateNode, best_split, gini, masked_leaf_proba
 
 
 def _blobs(n=200, d=4, seed=0, sep=3.0):

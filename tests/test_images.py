@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from face_oracle import face_attributes, face_columns
+from face_oracle import face_columns
 from fundlens.errors import ParseError, RangeError, SchemaError
 from fundlens.images import (
     CHILD_AGE,
@@ -37,10 +37,6 @@ def _face_obj(age=30.0, smile=False, gender="female"):
     }
 
 
-def _face(age=30.0, smile=False):
-    return face_attributes(_face_obj(age=age, smile=smile))
-
-
 def _columns(root, faces) -> dict:
     """The face columns StubFaceProvider reads back for one image with ``faces``."""
     write_faces(root, {"a.ppm": faces})
@@ -59,7 +55,7 @@ def _load_face(root, obj):
 
 def test_parse_face_roundtrip(tmp_path):
     # A face written by write_faces reads back as the columns of its attributes.
-    got = _columns(tmp_path, [_face(age=25.0, smile=True)])
+    got = _columns(tmp_path, [_face_obj(age=25.0, smile=True)])
     assert got["num_faces"] == 1.0
     assert got["face_mean_age"] == 25.0
     assert got["any_smile"] == 1.0
@@ -96,7 +92,7 @@ def test_aggregate_empty_face_list(tmp_path):
 
 def test_aggregate_hand_values(tmp_path):
     # Two faces aged 22 and 18 average to 20; a single smile flips any_smile.
-    agg = _columns(tmp_path, [_face(age=22.0), _face(age=18.0, smile=True)])
+    agg = _columns(tmp_path, [_face_obj(age=22.0), _face_obj(age=18.0, smile=True)])
     assert agg["num_faces"] == 2
     assert agg["face_mean_age"] == pytest.approx(20.0)
     assert agg["any_smile"] == 1
@@ -107,13 +103,13 @@ def test_aggregate_hand_values(tmp_path):
 
 
 def test_is_child_strictly_under_ten(tmp_path):
-    assert _columns(tmp_path, [_face(age=10.0)])["is_child"] == 0
-    assert _columns(tmp_path, [_face(age=9.99)])["is_child"] == 1
+    assert _columns(tmp_path, [_face_obj(age=10.0)])["is_child"] == 0
+    assert _columns(tmp_path, [_face_obj(age=9.99)])["is_child"] == 1
     assert CHILD_AGE == 10
 
 
 def test_aggregate_permutation_invariant(tmp_path):
-    faces = [_face(age=a, smile=(a > 30)) for a in (5.0, 31.0, 62.0)]
+    faces = [_face_obj(age=a, smile=(a > 30)) for a in (5.0, 31.0, 62.0)]
     a = _columns(tmp_path, faces)
     b = _columns(tmp_path, list(reversed(faces)))
     for name in FACE_COLUMNS:
@@ -147,7 +143,7 @@ def test_face_columns_match_the_oracle(faces, seed):
             fh.write("\n".join(lines) + "\n")
         provider = StubFaceProvider(root)
     got = np.asarray(provider.analyze("a"))
-    want = np.asarray(face_columns([face_attributes(json.loads(json.dumps(f))) for f in faces]))
+    want = np.asarray(face_columns(json.loads(json.dumps(faces))))
     assert got.tobytes() == want.tobytes()
     assert list(np.asarray(provider.analyze("b"))[:3]) == list(got[:3])
 
@@ -188,7 +184,7 @@ def _no_faces(row) -> bool:
 
 def test_stub_provider_reads_sidecars(tmp_path):
     # Each image's sidecar record is one line of faces.jsonl.
-    write_faces(tmp_path, {"imgs/pic.ppm": [_face(age=8.0)], "imgs/none.ppm": []})
+    write_faces(tmp_path, {"imgs/pic.ppm": [_face_obj(age=8.0)], "imgs/none.ppm": []})
     assert sorted(p.name for p in tmp_path.iterdir()) == ["faces.jsonl"]
     provider = StubFaceProvider(tmp_path)
     got = dict(zip(FACE_COLUMNS, provider.analyze("imgs/pic.ppm")))

@@ -70,6 +70,19 @@ def test_spec_scalars_convert_by_field_type():
         SynthSpec.from_dict({"cells": [], "noise_sigm": 0.1})
 
 
+@pytest.mark.parametrize("name, value", [
+    ("base_ratio", True), ("noise_sigma", True), ("missing_city_rate", False),
+    ("background_poisson", True), ("words_per_description", True),
+    ("words_per_description", 120.9), ("words_per_description", 120.0),
+], ids=["bool-base-ratio", "bool-noise", "bool-city-rate", "bool-poisson", "bool-words",
+        "fractional-words", "float-words"])
+def test_spec_scalars_reject_bools_and_floats_for_ints(name, value):
+    # A bool is no number, and an int field takes no float, whole or not, as
+    # the same values inside cells are rejected.
+    with pytest.raises(SpecError, match=f"SynthSpec.{name} must be"):
+        SynthSpec.from_dict({"cells": [{"band": "B1", "category": "Other", "n": 10}], name: value})
+
+
 @pytest.mark.parametrize("change", [
     {"cells": [Cell("B1", "Other", 5.0)]},
     {"cells": [Cell("B1", "Other", True)]},
@@ -332,6 +345,10 @@ def test_faces_jsonl_round_trips_every_image(registry, lexicon, tmp_path):
                           lexicon=lexicon, registry=registry)
     write_faces(tmp_path, ds.faces)
     assert any(ds.faces.values()) and not all(ds.faces.values())
+    # synth draws the provider's face objects: each line, parsed, is the
+    # image's entry of ds.faces, in order, with nothing renamed.
+    lines = [json.loads(line) for line in (tmp_path / "faces.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [(line["image_ref"], line["faces"]) for line in lines] == list(ds.faces.items())
     provider = StubFaceProvider(tmp_path)
     for ref, faces in ds.faces.items():
         assert np.asarray(provider.analyze(ref)).tobytes() == np.asarray(face_columns(faces)).tobytes()
@@ -354,4 +371,4 @@ def test_emotions_sum_to_100(registry, lexicon):
                           lexicon=lexicon, registry=registry)
     for faces in ds.faces.values():
         for face in faces:
-            assert sum(face.emotion.values()) == pytest.approx(100.0, abs=0.5)
+            assert sum(face["emotion"].values()) == pytest.approx(100.0, abs=0.5)

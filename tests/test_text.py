@@ -14,8 +14,14 @@ from fundlens.text import (
     clout_surrogate,
     extract,
     load_lexicon,
-    tokenize,
 )
+from fundlens.text import _TOKEN
+
+
+def tokenize(text: str):
+    """Lowercased tokens, the token rule ``extract`` applies word by word: split
+    on anything that is not a letter, digit or internal apostrophe."""
+    return _TOKEN.findall(text.lower())
 
 
 def test_lexicon_fingerprint_is_the_hash_of_its_file(tmp_path):
