@@ -374,7 +374,7 @@ def cmd_evaluate(cfg: RunConfig, paths: dict) -> int:
                   provider_tags=json.dumps(provenance["provider_tags"], sort_keys=True),
                   lexicon_fingerprint=provenance["lexicon_fingerprint"])
     report = run_experiment(labels["goal_band"], labels[_CLASS_KEY[cfg.target]], matrix, cfg,
-                            header, screened_by_band=screened, jobs=cfg.jobs)
+                            header, screened_by_band=screened)
     paths["report_csv"].write_text(report.to_csv_text(), encoding="utf-8")
     paths["report_json"].write_text(report.to_json_text(), encoding="utf-8")
     print(f"evaluate: {len(report.rows)} rows, {len(report.totals)} totals -> {paths['report_csv']}")
@@ -396,7 +396,7 @@ def cmd_train(cfg: RunConfig, paths: dict) -> int:
         X, _, names, medians = impute_with_indicators(sub.values, None, sub.names)
         fits.append((X, y, cfg.forest_config(seed=cfg.seed), names))
         metas.append({"band": band, "setting": setting.value, "target": cfg.target,
-                      "base_names": sub.names, "out_names": names, "medians": medians})
+                      "base_names": sub.names, "medians": medians})
     if not fits:
         raise DataError("no band had enough labeled campaigns to train")
     # One pool for the stage: the bands are fitted in parallel, saved in band order.
@@ -422,16 +422,18 @@ def _load_band_model(model_dir: Path, band: str):
         raise SchemaError(f"{model_path}: labels are not distinct integer classes; retrain")
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        base_names, medians, out_names = meta["base_names"], meta["medians"], meta["out_names"]
+        base_names, medians = meta["base_names"], meta["medians"]
     except (KeyError, TypeError, ValueError):
         raise SchemaError(f"{meta_path} is not a model layout this version reads; retrain") from None
     if not (isinstance(base_names, list) and all(isinstance(n, str) for n in base_names)
             and isinstance(medians, dict) and sorted(medians) == sorted(base_names)
             and all(map(is_finite_number, medians.values()))):
         raise SchemaError(f"{meta_path}: base_names must be strings, each with a finite median; retrain")
-    if list(model.feature_names) != out_names:
-        raise SchemaError(f"{meta_path} does not describe the columns of {band}.json; retrain")
-    return model, base_names, medians, out_names
+    # The forest's columns: base_names, then indicators of some of them (apply_imputation).
+    names, indicators = model.feature_names, [f"{n}__missing" for n in base_names]
+    if names[:len(base_names)] != base_names or any(n not in indicators for n in names[len(base_names):]):
+        raise SchemaError(f"{meta_path} does not describe the columns of {model_path}; retrain")
+    return model, base_names, medians
 
 
 def cmd_predict(cfg: RunConfig, paths: dict, campaign_file: str) -> int:
@@ -450,7 +452,7 @@ def cmd_predict(cfg: RunConfig, paths: dict, campaign_file: str) -> int:
     bands = [assign_goal_band(c.goal_amount) for c in campaigns]
     rows = [[c.id, b.name if b else "OutOfRange", "", "", "", ""] for c, b in zip(campaigns, bands)]
     # Score each band in one batch on the columns its model was trained on.
-    for band, (model, base_names, medians, out_names) in models.items():
+    for band, (model, base_names, medians) in models.items():
         idx = [i for i, b in enumerate(bands) if b is not None and b.name == band]
         if not idx:
             continue
@@ -458,7 +460,7 @@ def cmd_predict(cfg: RunConfig, paths: dict, campaign_file: str) -> int:
         if sub.names != base_names:
             raise SchemaError(f"features for {band} differ from the ones its model was trained on "
                               f"(lexicon or registry changed?); retrain or use the training inputs")
-        proba = model.predict_proba(apply_imputation(sub.values, sub.names, medians, out_names))
+        proba = model.predict_proba(apply_imputation(sub.values, sub.names, medians, model.feature_names))
         importances = model.feature_importances()
         top = ";".join(model.feature_names[j] for j in np.argsort(-importances)[:5] if importances[j] > 0)
         missing = np.isnan(sub.values)

@@ -285,15 +285,15 @@ _AVERAGED = ("accuracy", "precision", "recall", "f1")
 
 
 def run_experiment(bands, labels, matrix: FeatureMatrix, cfg: RunConfig, header: dict,
-                   screened_by_band=None, jobs: int = 1) -> ExperimentReport:
+                   screened_by_band=None) -> ExperimentReport:
     """Per-band 90/10 stratified holdout evaluation plus k-fold CV on the 90%.
 
     ``bands``/``labels`` align with matrix rows; None entries (dropped ratio,
     out-of-range goal) are excluded. Weighted totals use band test sizes.
     ``screened_by_band`` (band -> feature names), if given, gates the columns.
     Every fit is planned first (notes included), then all fits run through
-    one ``rf.parallel_map`` on up to ``jobs`` processes, then the rows are
-    scored in plan order, so the report does not depend on ``jobs``.
+    one ``rf.parallel_map`` on up to ``cfg.jobs`` processes, then the rows are
+    scored in plan order, so the report does not depend on ``cfg.jobs``.
     """
     bands = list(bands)
     labels = list(labels)
@@ -336,7 +336,7 @@ def run_experiment(bands, labels, matrix: FeatureMatrix, cfg: RunConfig, header:
                                           forest, (cfg.seed, band, setting.value, "cv", fi)))
             planned.append((band, setting, train_rows.size, test_rows.size, slice(first, len(tasks))))
 
-    predictions = rf.parallel_map(_fit_predict, tasks, jobs)
+    predictions = rf.parallel_map(_fit_predict, tasks, cfg.jobs)
     rows: list = []
     for band, setting, n_train, n_test, span in planned:
         holdout, *cv = [compute_metrics(t.y[t.apply_rows], pred)

@@ -17,8 +17,6 @@ import math
 import os
 from array import array
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 from pathlib import Path
 
 from .errors import ParseError, RangeError, SchemaError, utf8_input
@@ -64,8 +62,6 @@ _NO_FACES = (0.0, 0.0, 0.0) + (math.nan,) * (len(FACE_COLUMNS) - 3)
 
 _BEAUTY_KEYS = frozenset(("female_score", "male_score"))
 _EMOTION_KEYS = frozenset(EMOTION_KEYS)
-#: The types json.loads gives a number; bool is not among them.
-_JSON_NUMBERS = frozenset((int, float))
 
 
 def _face_values(obj) -> tuple:
@@ -91,35 +87,16 @@ def _face_values(obj) -> tuple:
     emotion = obj.get("emotion")
     if not isinstance(emotion, dict) or emotion.keys() != _EMOTION_KEYS:
         raise SchemaError(f"emotion must have exactly the 7 keys {EMOTION_KEYS}")
-    return (smile["value"], age, (float(beauty["female_score"]) + float(beauty["male_score"])) / 2.0,
-            *_emotion_scores(emotion))
-
-
-def _emotion_scores(emotion: dict) -> list:
-    """The scores of ``emotion`` in EMOTION_KEYS order, as floats.
-
-    The 7 scores are checked as one list. Only a list that fails is checked
-    again one score at a time, so that the SchemaError names the first bad key.
-    The sum is a running total from 0.0, left to right.
-    """
-    raw = [emotion[k] for k in EMOTION_KEYS]
-    try:
-        if _JSON_NUMBERS.issuperset(map(type, raw)):
-            scores = list(map(float, raw))
-            # a NaN or infinite score makes the total NaN or infinite, which fails the bound
-            if min(scores) >= 0.0 and abs(reduce(add, scores, 0.0) - 100.0) <= 0.5:
-                return scores
-    except OverflowError:  # an int beyond the float range
-        pass
-    scores = [_number(v, "emotion", k) for k, v in zip(EMOTION_KEYS, raw)]
-    total = 0.0
+    scores = [_number(emotion[k], "emotion", k) for k in EMOTION_KEYS]
+    total = 0.0  # summed in key order: the bound depends on the order
     for k, v in zip(EMOTION_KEYS, scores):
         if v < 0:
             raise SchemaError(f"emotion {k} must be non-negative")
         total += v
     if abs(total - 100.0) > 0.5:
         raise SchemaError(f"emotion scores sum to {total}, expected 100 +- 0.5")
-    return scores
+    return (smile["value"], age, (float(beauty["female_score"]) + float(beauty["male_score"])) / 2.0,
+            *scores)
 
 
 def _face_row(faces) -> tuple:

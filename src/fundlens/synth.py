@@ -42,12 +42,13 @@ _TEXT_LOC, _TEXT_SCALE = 10.0, 3.0  # planted word-category percent = 10 + 3z
 _KINDS = {str: "a string", int: "an integer", float: "a finite number"}
 
 #: The closed range of each SynthSpec scalar that has one (base_ratio only needs
-#: to be finite, which its type check already asks).
+#: to be finite, which its type check already asks). The upper ends make a huge
+#: length or Poisson mean a spec error rather than an error of NumPy's draws.
 _SCALAR_RANGES = (
     ("noise_sigma", 0.0, math.inf),
-    ("words_per_description", 10, math.inf),
+    ("words_per_description", 10, 10_000),
     ("missing_city_rate", 0.0, 1.0),
-    ("background_poisson", 0.0, math.inf),
+    ("background_poisson", 0.0, 1_000.0),
 )
 
 #: Filler words pad every description to its length: zq0 .. zq499.

@@ -394,12 +394,14 @@ def _spec_bytes(**changes) -> bytes:
     _spec_bytes(missing_city_rate=-0.01),
     _spec_bytes(background_poisson=-1),
     _spec_bytes(background_poisson=float("inf")),
+    _spec_bytes(background_poisson=1e20),
+    _spec_bytes(words_per_description=10**39),
     _spec_bytes(noise_sigma=True),
     _spec_bytes(words_per_description=120.9),
 ], ids=["invalid-json", "not-utf8", "str-scalar", "null-scalar", "unknown-key", "str-n",
         "str-slope", "infinite-magnitude", "not-an-object", "nan-noise", "infinite-base-ratio",
         "city-rate-7", "negative-city-rate", "negative-poisson", "infinite-poisson",
-        "bool-scalar", "fractional-int-scalar"])
+        "huge-poisson", "huge-words", "bool-scalar", "fractional-int-scalar"])
 def test_malformed_spec_exits_3(tmp_path, capsys, blob):
     spec = tmp_path / "spec.json"
     spec.write_bytes(blob)
@@ -507,8 +509,8 @@ def test_malformed_faces_jsonl_exits_3(pipeline_dir, tmp_path, capsys, edit):
     ("emotion", None, "must have exactly the 7 keys"),
 ], ids=["true", "string", "huge-int", "NaN", "Infinity", "negative", "not-an-object"])
 def test_malformed_emotion_exits_3_naming_the_key(pipeline_dir, tmp_path, capsys, key, value, problem):
-    # The emotion scores are checked as one batch; the error still names the
-    # score's key and its faces.jsonl line, here line 2.
+    # The emotion scores are checked one key at a time, in EMOTION_KEYS order;
+    # the error names the score's key and its faces.jsonl line, here line 2.
     root, out, base = pipeline_dir
     lines = (root / "data" / "faces.jsonl").read_bytes().splitlines(keepends=True)
     emotion = (["happy"] if key == "emotion" else
@@ -801,7 +803,8 @@ def test_predict_with_changed_features_exits_3_before_writing(pipeline_dir, serv
     old = tmp_path / "old_models"
     shutil.copytree(models, old)
     meta = json.loads((old / "B1_meta.json").read_text())
-    meta["medians"] = {n: v for n, v in meta["medians"].items() if f"{n}__missing" in meta["out_names"]}
+    indicators = json.loads((old / "B1.json").read_text())["feature_names"]
+    meta["medians"] = {n: v for n, v in meta["medians"].items() if f"{n}__missing" in indicators}
     (old / "B1_meta.json").write_text(json.dumps(meta))
     assert main(["predict", *base, "--out", str(tmp_path), "--models", str(old), str(batch)]) == 3
     assert "retrain" in capsys.readouterr().err
@@ -833,6 +836,12 @@ def _no_trees_config(text):
     return json.dumps(payload)
 
 
+def _rename_last_feature(text):
+    payload = json.loads(text)
+    payload["feature_names"][-1] = "not_a_column__missing"
+    return json.dumps(payload)
+
+
 def _labels(labels):
     def corrupt(text):
         payload = json.loads(text)
@@ -855,9 +864,10 @@ def _labels(labels):
     _corrupt_tree("counts", lambda t: [[-1.0, *row[1:]] for row in t["counts"]]),
     _corrupt_tree("counts", lambda t: [[float("nan"), *row[1:]] for row in t["counts"]]),
     _corrupt_tree("threshold", lambda t: [float("nan")] * len(t["threshold"])),
+    _rename_last_feature,
 ], ids=["truncated", "no-trees", "feature-out-of-range", "child-not-after-node", "counts-width",
         "bad-config", "string-labels", "nested-labels", "repeated-labels", "zero-counts",
-        "negative-count", "nan-count", "nan-threshold"])
+        "negative-count", "nan-count", "nan-threshold", "unknown-feature-name"])
 def test_corrupt_model_exits_3_before_writing(pipeline_dir, served, tmp_path, capsys, corrupt):
     root, out, base = pipeline_dir
     models, batch = served
@@ -890,8 +900,9 @@ def _meta(field, value):
     _meta("medians", lambda m: {**m["medians"], "extra": 0.0}),
     _meta("base_names", lambda m: 5),
     _meta("base_names", lambda m: [*m["base_names"][:-1], 5]),
+    _meta("base_names", lambda m: m["base_names"][::-1]),
 ], ids=["medians-list", "string-medians", "null-medians", "bool-medians", "huge-medians",
-        "nan-medians", "extra-median", "base-names-int", "base-name-int"])
+        "nan-medians", "extra-median", "base-names-int", "base-name-int", "reordered-base-names"])
 def test_corrupt_model_meta_exits_3_before_writing(pipeline_dir, served, tmp_path, capsys, corrupt):
     root, out, base = pipeline_dir
     models, batch = served

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -311,8 +313,8 @@ def test_run_experiment_parallel_matches_serial():
         seed=3, trees=3,
         settings=(Setting.BASIC, Setting.FACE, Setting.LIWC, Setting.LATE_FUSION), cv_folds=4,
     )
-    serial = run_experiment(bands, labels, matrix, cfg, {}, jobs=1)
-    parallel = run_experiment(bands, labels, matrix, cfg, {}, jobs=2)
+    serial = run_experiment(bands, labels, matrix, cfg, {})
+    parallel = run_experiment(bands, labels, matrix, dataclasses.replace(cfg, jobs=2), {})
     assert parallel.to_csv_text() == serial.to_csv_text()
     assert parallel.to_json_text() == serial.to_json_text()
     # The matrix has no face columns, so Face is skipped in both bands.

@@ -103,7 +103,8 @@ def test_spec_rejects_fields_off_their_type(registry, lexicon, change):
 def test_spec_accepts_scalar_range_ends(registry, lexicon):
     _spec(noise_sigma=0.0, missing_city_rate=0.0, background_poisson=0.0,
           words_per_description=10, base_ratio=-3.0).validate(registry, lexicon)
-    _spec(missing_city_rate=1.0).validate(registry, lexicon)
+    _spec(missing_city_rate=1.0, words_per_description=10_000,
+          background_poisson=1_000.0).validate(registry, lexicon)
 
 
 #: The small spec of test_write_dataset_is_pinned: every supported planted
