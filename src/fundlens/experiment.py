@@ -235,36 +235,45 @@ def _model_columns(matrix: FeatureMatrix, setting: Setting, screened_names=None)
     return tuple(tuple(_columns(matrix, group, screened_names)) for group in groups)
 
 
+def _imputed_columns(out_names, names) -> list:
+    """Positions of one model's columns in a matrix imputed over more columns:
+    ``names``, then their indicators, in ``names`` order. A column's median and
+    indicator depend only on its own fit rows, so this equals imputing ``names`` alone."""
+    at = {name: j for j, name in enumerate(out_names)}
+    return [at[n] for n in names] + [at[m] for n in names if (m := f"{n}__missing") in at]
+
+
 @dataclass(frozen=True)
-class _FitTask:
-    """One holdout or CV fit: train the setting's model(s) on ``fit_rows`` of
-    a band and predict ``apply_rows``. Holds the whole band matrix and row
-    indices, so a planned task copies no rows until it runs."""
+class _FoldTask:
+    """The holdout split or one CV fold of a band: impute every band column once
+    on ``fit_rows``, then train each setting's model(s) there and predict
+    ``apply_rows``. Holds the whole band matrix, so it copies no rows until it runs."""
     band: FeatureMatrix
     y: np.ndarray          # labels of the band rows
     fit_rows: np.ndarray
     apply_rows: np.ndarray
-    columns: tuple         # from _model_columns
     forest: rf.ForestConfig
-    seed_parts: tuple
+    settings: tuple        # (tree seed parts, columns from _model_columns) per setting
 
 
-def _fit_predict(task: _FitTask) -> np.ndarray:
-    """Train per the task and return predictions for its apply rows."""
-    late = len(task.columns) > 1
-    models = []
-    xs = []
-    # Each model's rows and columns in one copy: fit rows first, then apply rows.
-    rows, n_fit = np.concatenate((task.fit_rows, task.apply_rows)), task.fit_rows.size
-    at = {name: j for j, name in enumerate(task.band.names)}
-    for gi, names in enumerate(task.columns):
-        values = task.band.values[np.ix_(rows, [at[name] for name in names])]
-        Xtr, Xte, out_names, _ = impute_with_indicators(values[:n_fit], values[n_fit:], list(names))
-        seed = _derived_seed(*task.seed_parts, "late", gi) if late else _derived_seed(*task.seed_parts)
-        models.append(rf.fit(Xtr, task.y[task.fit_rows], replace(task.forest, seed=seed),
-                             feature_names=out_names))
-        xs.append(Xte)
-    return late_fuse(models, xs) if late else models[0].predict(xs[0])
+def _fit_predict(task: _FoldTask) -> list:
+    """Train per the task; one prediction vector for its apply rows per setting."""
+    values = task.band.values
+    Xtr, Xte, out_names, _ = impute_with_indicators(
+        values[task.fit_rows], values[task.apply_rows], task.band.names)
+    y = task.y[task.fit_rows]
+    predictions = []
+    for seed_parts, columns in task.settings:
+        late = len(columns) > 1
+        models, xs = [], []
+        for gi, names in enumerate(columns):
+            picked = _imputed_columns(out_names, names)
+            seed = _derived_seed(*seed_parts, "late", gi) if late else _derived_seed(*seed_parts)
+            models.append(rf.fit(Xtr[:, picked], y, replace(task.forest, seed=seed),
+                                 feature_names=[out_names[j] for j in picked]))
+            xs.append(Xte[:, picked])
+        predictions.append(late_fuse(models, xs) if late else models[0].predict(xs[0]))
+    return predictions
 
 
 def labeled_bands(bands, labels, min_band_n: int, notes: list):
@@ -291,9 +300,10 @@ def run_experiment(bands, labels, matrix: FeatureMatrix, cfg: RunConfig, header:
     ``bands``/``labels`` align with matrix rows; None entries (dropped ratio,
     out-of-range goal) are excluded. Weighted totals use band test sizes.
     ``screened_by_band`` (band -> feature names), if given, gates the columns.
-    Every fit is planned first (notes included), then all fits run through
-    one ``rf.parallel_map`` on up to ``cfg.jobs`` processes, then the rows are
-    scored in plan order, so the report does not depend on ``cfg.jobs``.
+    Each band draws its holdout split and CV folds once, and all its settings
+    fit on those rows. Every (band, split) task is planned first (notes included),
+    then all run through one ``rf.parallel_map`` on up to ``cfg.jobs`` processes,
+    then rows are scored in plan order, so the report does not depend on ``cfg.jobs``.
     """
     bands = list(bands)
     labels = list(labels)
@@ -302,7 +312,7 @@ def run_experiment(bands, labels, matrix: FeatureMatrix, cfg: RunConfig, header:
     forest = cfg.forest_config()
     notes: list = []
     tasks: list = []
-    planned: list = []  # (band, setting, n_train, n_test, its tasks: holdout first, then CV folds)
+    planned: list = []  # (band, settings, n_train, n_test, its tasks: holdout first, then CV folds)
     for band, idx, y_band in labeled_bands(bands, labels, cfg.min_band_n, notes):
         if np.unique(y_band).size < 2:
             notes.append(f"skipped band {band}: single class")
@@ -313,60 +323,50 @@ def run_experiment(bands, labels, matrix: FeatureMatrix, cfg: RunConfig, header:
             notes.append(f"{band} holdout: {note}")
         test_rows = folds[0]
         train_rows = np.setdiff1d(np.arange(idx.size), test_rows)
-        y_train = y_band[train_rows]
         screened_names = None if screened_by_band is None else screened_by_band.get(band, set())
-        settings = cfg.settings if band in cfg.full_settings_bands else (Setting.BASIC,)
-        for setting in settings:
+        settings = []
+        for setting in cfg.settings if band in cfg.full_settings_bands else (Setting.BASIC,):
             try:
-                columns = _model_columns(sub, setting, screened_names)
+                settings.append((setting, _model_columns(sub, setting, screened_names)))
             except EmptySetting as exc:
                 notes.append(f"skipped {band}/{setting.value}: {exc}")
-                continue
-            first = len(tasks)
-            tasks.append(_FitTask(sub, y_band, train_rows, test_rows, columns, forest,
-                                  (cfg.seed, band, setting.value)))
-            if cfg.cv_folds >= 2:
-                cv_folds, cv_note = stratified_kfold(
-                    y_train, k=cfg.cv_folds, seed=_derived_seed(cfg.seed, band, setting.value, "cv"))
-                if cv_note:
-                    notes.append(f"{band}/{setting.value} cv: {cv_note}")
-                for fi, fold in enumerate(cv_folds):
-                    tr = np.setdiff1d(np.arange(y_train.size), fold)
-                    tasks.append(_FitTask(sub, y_band, train_rows[tr], train_rows[fold], columns,
-                                          forest, (cfg.seed, band, setting.value, "cv", fi)))
-            planned.append((band, setting, train_rows.size, test_rows.size, slice(first, len(tasks))))
+        if not settings:
+            continue
+        splits = [(train_rows, test_rows, ())]
+        if cfg.cv_folds >= 2:
+            cv_folds, cv_note = stratified_kfold(
+                y_band[train_rows], k=cfg.cv_folds, seed=_derived_seed(cfg.seed, band, "cv"))
+            if cv_note:
+                notes.append(f"{band} cv: {cv_note}")
+            splits += [(train_rows[np.setdiff1d(np.arange(train_rows.size), fold)], train_rows[fold],
+                        ("cv", fi)) for fi, fold in enumerate(cv_folds)]
+        first = len(tasks)
+        tasks += [_FoldTask(sub, y_band, fit_rows, apply_rows, forest,
+                            tuple(((cfg.seed, band, s.value, *seed_suffix), columns)
+                                  for s, columns in settings))
+                  for fit_rows, apply_rows, seed_suffix in splits]
+        planned.append((band, settings, train_rows.size, test_rows.size, slice(first, len(tasks))))
 
     predictions = rf.parallel_map(_fit_predict, tasks, cfg.jobs)
     rows: list = []
-    for band, setting, n_train, n_test, span in planned:
-        holdout, *cv = [compute_metrics(t.y[t.apply_rows], pred)
-                        for t, pred in zip(tasks[span], predictions[span])]
-        cv_means = None
-        if cv:
-            cv_means = {k: float(np.mean([getattr(m, k) for m in cv])) for k in _AVERAGED}
-        rows.append(ReportRow(
-            goal_band=band, setting=setting.value,
-            n_train=int(n_train), n_test=int(n_test),
-            holdout=holdout, cv=cv_means,
-        ))
+    for band, settings, n_train, n_test, span in planned:
+        for si, (setting, _) in enumerate(settings):
+            holdout, *cv = [compute_metrics(t.y[t.apply_rows], pred[si])
+                            for t, pred in zip(tasks[span], predictions[span])]
+            cv_means = {k: float(np.mean([getattr(m, k) for m in cv])) for k in _AVERAGED} if cv else None
+            rows.append(ReportRow(band, setting.value, int(n_train), int(n_test), holdout, cv_means))
 
     totals = []
-    by_setting: dict = {}
-    for row in rows:
-        by_setting.setdefault(row.setting, []).append(row)
     for setting in [s.value for s in cfg.settings]:
-        group = by_setting.get(setting)
+        group = [row for row in rows if row.setting == setting]
         if not group:
             continue
         weights = np.asarray([r.n_test for r in group], dtype=np.float64)
         weights = weights / weights.sum()
         averaged = {k: float(sum(w * getattr(r.holdout, k) for w, r in zip(weights, group)))
                     for k in _AVERAGED}
-        totals.append(ReportRow(
-            goal_band="Total(Weighted)", setting=setting,
-            n_train=int(sum(r.n_train for r in group)),
-            n_test=int(sum(r.n_test for r in group)),
-            holdout=Metrics(**averaged, per_class={}, support={}),
-        ))
+        totals.append(ReportRow("Total(Weighted)", setting, int(sum(r.n_train for r in group)),
+                                int(sum(r.n_test for r in group)),
+                                Metrics(**averaged, per_class={}, support={})))
 
     return ExperimentReport(header=header, rows=rows, totals=totals, notes=notes)

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fundlens import forest as rf
 from fundlens.cli import RunConfig
 from fundlens.errors import LabelError
 from fundlens.experiment import (
     LATE_FUSION_GROUPS,
     Setting,
+    _fit_predict,
+    _imputed_columns,
+    _model_columns,
     assemble,
     compute_metrics,
     late_fuse,
@@ -16,7 +20,7 @@ from fundlens.experiment import (
     run_experiment,
     stratified_kfold,
 )
-from fundlens.features import FeatureMatrix
+from fundlens.features import FeatureMatrix, impute_with_indicators
 from fundlens.forest import ForestConfig, fit
 
 
@@ -319,7 +323,79 @@ def test_run_experiment_parallel_matches_serial():
     assert parallel.to_json_text() == serial.to_json_text()
     # The matrix has no face columns, so Face is skipped in both bands.
     assert [n.split(":")[0] for n in serial.notes] == [
-        "skipped B1/Face", "B2 holdout", "B2/Basic cv", "skipped B2/Face", "B2/LIWC cv",
-        "B2/LateFusion cv", "skipped band B3", "skipped band B4"]
+        "skipped B1/Face", "B2 holdout", "skipped B2/Face", "B2 cv", "skipped band B3",
+        "skipped band B4"]
     assert [(r.goal_band, r.setting) for r in serial.rows] == [
         (b, s) for b in ("B1", "B2") for s in ("Basic", "LIWC", "LateFusion")]
+
+
+def test_every_setting_of_a_band_fits_on_the_same_rows(monkeypatch):
+    bands, labels, matrix = _separable_dataset(n=240, seed=7)
+    cfg = RunConfig(seed=2, trees=2, cv_folds=3,
+                    settings=(Setting.BASIC, Setting.LIWC, Setting.LATE_FUSION))
+    planned = []
+    real = rf.parallel_map
+
+    def recording_map(fn, tasks, jobs):
+        if fn is _fit_predict:  # forest.fit maps its trees through here too
+            planned.extend(tasks)
+        return real(fn, tasks, jobs)
+
+    monkeypatch.setattr(rf, "parallel_map", recording_map)
+    report = run_experiment(bands, labels, matrix, cfg, {})
+    for band in ("B1", "B2"):
+        tasks = [t for t in planned if t.settings[0][0][1] == band]
+        # One holdout split plus k CV folds, each one task for every setting.
+        assert len(tasks) == cfg.cv_folds + 1
+        for i, task in enumerate(tasks):
+            suffix = () if i == 0 else ("cv", i - 1)
+            assert [parts for parts, _ in task.settings] == [
+                (2, band, s, *suffix) for s in ("Basic", "LIWC", "LateFusion")]
+        holdout, *cv = tasks
+        assert [r.n_test for r in report.rows if r.goal_band == band] == [holdout.apply_rows.size] * 3
+        # The CV folds partition the holdout's fit rows; each fold fits on the rest.
+        assert np.array_equal(np.sort(np.concatenate([t.apply_rows for t in cv])), holdout.fit_rows)
+        for t in cv:
+            assert np.array_equal(t.fit_rows, np.setdiff1d(holdout.fit_rows, t.apply_rows))
+
+
+_KINDS = ("complete", "gappy", "no finite fit value", "gaps in apply rows only")
+_MODALITIES = ("basic", "text", "population", "image_quality", "face")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_band_imputation_sliced_per_model_equals_imputing_the_model_alone(data):
+    n_fit, n_apply = data.draw(st.integers(2, 8)), data.draw(st.integers(1, 5))
+    n, d = n_fit + n_apply, data.draw(st.integers(5, 10))
+    cell = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1.0])
+    values = np.array(data.draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=n, max_size=n)))
+    kinds = data.draw(st.lists(st.sampled_from(_KINDS), min_size=d, max_size=d))
+    for j, kind in enumerate(kinds):
+        gaps = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        if kind == "complete":
+            gaps[:] = False
+        elif kind == "no finite fit value":
+            gaps[:n_fit] = True
+        elif kind == "gaps in apply rows only":
+            gaps[:n_fit] = False
+        values[gaps, j] = np.nan
+    names = [f"f{j}" for j in range(d)]
+    # Every modality has a column, so every setting has its model(s).
+    band = FeatureMatrix(ids=[f"c{i}" for i in range(n)], names=names,
+                         modalities=[_MODALITIES[j % len(_MODALITIES)] for j in range(d)], values=values)
+    fit_all, apply_all, out_names, medians = impute_with_indicators(values[:n_fit], values[n_fit:], names)
+    for j, kind in enumerate(kinds):
+        if kind == "no finite fit value":
+            assert medians[names[j]] == 0.0 and f"{names[j]}__missing" in out_names
+        elif kind == "gaps in apply rows only":
+            assert f"{names[j]}__missing" not in out_names
+    for setting in Setting:
+        for columns in _model_columns(band, setting):  # two groups for LateFusion
+            at = [names.index(c) for c in columns]
+            fit_alone, apply_alone, alone_names, _ = impute_with_indicators(
+                values[:n_fit, at], values[n_fit:, at], list(columns))
+            picked = _imputed_columns(out_names, columns)
+            assert [out_names[j] for j in picked] == alone_names
+            assert fit_all[:, picked].tobytes() == fit_alone.tobytes()
+            assert apply_all[:, picked].tobytes() == apply_alone.tobytes()
