@@ -97,7 +97,7 @@ class RunConfig:
     def fingerprint(self) -> str:
         """Hash of the options that decide evaluate's report."""
         payload = {k: getattr(self, k) for k in (
-            "seed", "cv_folds", "min_band_n", "target", "assembly", "full_settings_bands")}
+            "seed", "cv_folds", "min_band_n", "target", "assembly", "alpha", "full_settings_bands")}
         payload.update(forest=asdict(self.forest_config()), settings=[s.value for s in self.settings])
         blob = json.dumps(payload, sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -108,8 +108,9 @@ def _read_ini(path: str) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    # With no default section, [DEFAULT] is read like any other section.
-    parser = configparser.ConfigParser(default_section="")
+    # With no default section, [DEFAULT] is read like any other section; with no
+    # interpolation, a value such as res%2024 reads as the same flag does.
+    parser = configparser.ConfigParser(default_section="", interpolation=None)
     known = {f.name for f in fields(RunConfig)}
     raw: dict = {}
     try:
@@ -168,29 +169,18 @@ def load_config(path: Optional[str], args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _require(path: Optional[Path], what: str) -> Path:
-    if path is None:
-        raise ConfigError(f"missing required path: {what}")
-    if not Path(path).exists():
-        raise ConfigError(f"{what} not found: {path}")
-    return Path(path)
-
-
-def _registry(cfg: RunConfig) -> CategoryRegistry:
-    if cfg.categories is not None:
-        return CategoryRegistry.load(_require(cfg.categories, "category registry"))
-    return CategoryRegistry.default()
-
-
-def _lexicon(cfg: RunConfig):
-    if cfg.lexicon is not None:
-        return load_lexicon(_require(cfg.lexicon, "lexicon file"))
-    return load_lexicon(None)
+def _registry(paths: dict) -> CategoryRegistry:
+    categories = paths["categories"]
+    return CategoryRegistry.load(categories) if categories else CategoryRegistry.default()
 
 
 def _dataset_paths(cfg: RunConfig) -> dict:
+    """Every file a stage reads or writes: the inputs the run names (None when it
+    names none) and the artifacts under --out. main adds the stage's positional file."""
     out = Path(cfg.out)
     return {
+        **{key: getattr(cfg, key) for key in (
+            "campaigns", "census", "quality_scores", "sidecar_root", "lexicon", "categories")},
         "dataset": out / "dataset.jsonl",
         "ingest_report": out / "ingest_report.json",
         "features": out / "features.npz",
@@ -251,9 +241,10 @@ def _load_features(paths: dict):
 
 
 def cmd_ingest(cfg: RunConfig, paths: dict) -> int:
-    registry = _registry(cfg)
-    src = _require(cfg.campaigns, "campaign snapshot")
-    campaigns, report = load_campaigns(src, registry)
+    registry = _registry(paths)
+    if paths["campaigns"] is None:
+        raise ConfigError("missing required path: campaign snapshot")
+    campaigns, report = load_campaigns(paths["campaigns"], registry)
     Path(cfg.out).mkdir(parents=True, exist_ok=True)
     with paths["dataset"].open("w", encoding="utf-8") as fh:
         for c in campaigns:
@@ -265,33 +256,25 @@ def cmd_ingest(cfg: RunConfig, paths: dict) -> int:
     return 0
 
 
-def _feature_paths(cfg: RunConfig) -> dict:
-    """The configured feature input paths, each checked to exist.
-
-    A configured path that does not exist is a config error, never a
-    silently missing (and then imputed) modality.
-    """
-    return {key: _require(path, what) if path else None for key, path, what in (
-        ("census", cfg.census, "census file"),
-        ("quality", cfg.quality_scores, "quality score file"),
-        ("faces", cfg.sidecar_root, "sidecar root"))}
+#: The inputs of build_feature_matrix that featurize and predict read.
+_FEATURE_INPUTS = ("census", "quality_scores", "sidecar_root", "lexicon")
 
 
-def _feature_inputs(cfg: RunConfig) -> dict:
+def _feature_inputs(paths: dict) -> dict:
     """The build_feature_matrix inputs that featurize and predict share."""
-    paths = _feature_paths(cfg)
+    census, quality, faces = paths["census"], paths["quality_scores"], paths["sidecar_root"]
     return {
-        "lexicon": _lexicon(cfg),
-        "population_table": load_population_table(paths["census"]) if paths["census"] else None,
-        "quality_table": load_precomputed_quality(paths["quality"]) if paths["quality"] else None,
-        "face_provider": StubFaceProvider(paths["faces"]) if paths["faces"] else None,
+        "lexicon": load_lexicon(paths["lexicon"]),
+        "population_table": load_population_table(census) if census else None,
+        "quality_table": load_precomputed_quality(quality) if quality else None,
+        "face_provider": StubFaceProvider(faces) if faces else None,
     }
 
 
 def cmd_featurize(cfg: RunConfig, paths: dict) -> int:
-    registry = _registry(cfg)
+    registry = _registry(paths)
     campaigns, labels = _load_dataset(paths["dataset"], registry)
-    inputs = _feature_inputs(cfg)
+    inputs = _feature_inputs(paths)
     matrix = build_feature_matrix(campaigns, registry, **inputs)
     provider = inputs["face_provider"]
     tags = {"quality": "precomputed" if inputs["quality_table"] is not None else "none",
@@ -436,19 +419,16 @@ def _load_band_model(model_dir: Path, band: str):
     return model, base_names, medians
 
 
-def cmd_predict(cfg: RunConfig, paths: dict, campaign_file: str) -> int:
-    registry = _registry(cfg)
+def cmd_predict(cfg: RunConfig, paths: dict) -> int:
+    registry = _registry(paths)
     model_dir = paths["models"]
-    src = _require(Path(campaign_file), "campaign file")
-    # Check the input paths and load the models before any campaign or feature input is
-    # read: a run without a model stops here.
-    _feature_paths(cfg)
+    # The models load before any campaign or feature input is read: a run without one stops here.
     models = {band: _load_band_model(model_dir, band) for band in BANDS
               if (model_dir / f"{band}.json").is_file()}
     if not models:
         raise ConfigError(f"no trained models found under {model_dir}")
-    campaigns, report = load_campaigns(src, registry)
-    matrix = build_feature_matrix(campaigns, registry, **_feature_inputs(cfg))
+    campaigns, report = load_campaigns(paths["campaign_file"], registry)
+    matrix = build_feature_matrix(campaigns, registry, **_feature_inputs(paths))
     bands = [assign_goal_band(c.goal_amount) for c in campaigns]
     rows = [[c.id, b.name if b else "OutOfRange", "", "", "", ""] for c, b in zip(campaigns, bands)]
     # Score each band in one batch on the columns its model was trained on.
@@ -479,18 +459,16 @@ def cmd_predict(cfg: RunConfig, paths: dict, campaign_file: str) -> int:
     return 0
 
 
-def cmd_synth(cfg: RunConfig, paths: dict, spec_file: str) -> int:
-    spec = SynthSpec.from_file(_require(Path(spec_file), "synthetic spec file"))
-    registry = _registry(cfg)
-    lexicon = _lexicon(cfg)
-    ds = generate_dataset(spec, cfg.seed, lexicon, registry)
+def cmd_synth(cfg: RunConfig, paths: dict) -> int:
+    spec = SynthSpec.from_file(paths["spec_file"])
+    ds = generate_dataset(spec, cfg.seed, load_lexicon(paths["lexicon"]), _registry(paths))
     written = write_dataset(ds, cfg.out)
     print(f"synth: {ds.manifest['n_campaigns']} campaigns -> {written['campaigns']}")
     return 0
 
 
 def cmd_report(cfg: RunConfig, paths: dict) -> int:
-    campaigns, labels = _load_dataset(paths["dataset"], _registry(cfg))
+    campaigns, labels = _load_dataset(paths["dataset"], _registry(paths))
 
     def write_hist(path, values, lo, hi, width):
         edges = np.arange(lo, hi + width / 2, width)
@@ -516,20 +494,25 @@ def cmd_report(cfg: RunConfig, paths: dict) -> int:
     return 0
 
 
-#: Every stage in pipeline order: the _dataset_paths keys it reads and its
-#: positional argument. main checks the inputs exist before the stage runs.
+#: Every stage in pipeline order: the _dataset_paths key of every file it reads, and its
+#: positional file. main checks that each named file exists, in order, before the stage runs:
+#: a named input that is missing is a config error, never a modality silently imputed.
 STAGES = {
-    "synth": ((), "spec_file"),
-    "ingest": ((), None),
-    "featurize": (("dataset",), None),
+    "synth": (("spec_file", "categories", "lexicon"), "spec_file"),
+    "ingest": (("categories", "campaigns"), None),
+    "featurize": (("dataset", "categories", *_FEATURE_INPUTS), None),
     "screen": (("dataset", "features"), None),
     "evaluate": (("dataset", "features"), None),
     "train": (("dataset", "features"), None),
-    "predict": (("models",), "campaign_file"),
-    "report": (("dataset",), None),
+    "predict": (("models", "categories", "campaign_file", *_FEATURE_INPUTS), "campaign_file"),
+    "report": (("dataset", "categories"), None),
 }
-#: The stage that writes each input a stage reads.
+#: When a file a stage reads is missing, its message names the stage that writes
+#: it (an artifact) or says what it is (an input).
 _WRITER = {"dataset": "ingest", "features": "featurize", "models": "train"}
+_WHAT = {"campaigns": "campaign snapshot", "census": "census file", "quality_scores": "quality score file",
+         "sidecar_root": "sidecar root", "lexicon": "lexicon file", "categories": "category registry",
+         "spec_file": "synthetic spec file", "campaign_file": "campaign file"}
 #: What main prints and returns for each error it catches, subclasses first.
 _FAILURES = ((ConfigError, "config error", 2), (DataError, "data error", 3),
              (OSError, "io error", 2), (FundlensError, "error", 1))
@@ -564,13 +547,15 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args)
         paths = _dataset_paths(cfg)
+        if arg:
+            paths[arg] = Path(getattr(args, arg))
         for key in reads:
-            if not paths[key].exists():
-                raise ConfigError(f"{paths[key]} not found; run {_WRITER[key]} first")
+            if paths[key] is not None and not paths[key].exists():
+                raise ConfigError(f"{paths[key]} not found; run {_WRITER[key]} first" if key in _WRITER
+                                  else f"{_WHAT[key]} not found: {paths[key]}")
         # Looked up at call time, not kept in a table: the benchmark tracer
         # (perfbench/tracer.py) times a stage by replacing this module attribute.
-        stage = globals()[f"cmd_{args.command}"]
-        return stage(cfg, paths, *([getattr(args, arg)] if arg else []))
+        return globals()[f"cmd_{args.command}"](cfg, paths)
     except (FundlensError, OSError) as exc:
         kind, code = next((k, c) for cls, k, c in _FAILURES if isinstance(exc, cls))
         print(f"{kind}: {exc}", file=sys.stderr)

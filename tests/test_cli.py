@@ -1,7 +1,9 @@
+import builtins
 import csv
 import hashlib
 import io
 import json
+import os
 import random
 import shutil
 import time
@@ -125,10 +127,10 @@ _PROTOCOL_SPEC = {
 _PROTOCOL_DIGESTS = {
     "screening.csv": "658395c392162a55b3fc5cc1ae7de97080af6ec54843e9402f12d8c8ebea2a53",
     "screening_notes.json": "c323470bb98a2ca82d12be7e030a8412b341d596f332e63bfd7c36f9c269c5b6",
-    "all-features/report.csv": "cef38d22f75d507a366395f36432109d09f7f7bafb8ca743f15dfef25ec70484",
-    "all-features/report.json": "e4bf8dff1d25bc6a7a71de9506ab700790ebf18ffe468710894b58842861b902",
-    "screened/report.csv": "26a3041ec0ffc782dbd9dfddcbcfffbc82f1bef7da4c2a273da010231df20390",
-    "screened/report.json": "6b31bb70d630696a4206f745141c85e65a9996b2e209e010584057dab7b993d9",
+    "all-features/report.csv": "8f6a4e0902e0560f301bdbd24d0e37f4f9ab572a8aa6e8780ba373deeffb34b6",
+    "all-features/report.json": "28e3592c53d4637be67539da2a52e32ad6023f8cca5455ddc2b6137210df4d83",
+    "screened/report.csv": "cf14c4c41d60e41f4701b0eeec479b82ad722b6c4c8ab019bb83c2f63c9db843",
+    "screened/report.json": "cd7b4519a91ec4c49e9c552b2fc42cf5673eeff5ff5e27f919e4613a80da5c10",
     "all-features/report.csv holdout": "9827b3f09c861d8a8cdfd2327f3ee7352c65b2028a44ab99e29b098f7ba96adc",
     "screened/report.csv holdout": "4fa6dc30a4f39cb652f811e2aad24b52458c4657c73fda8b30f2c663f33df15a",
 }
@@ -325,6 +327,130 @@ def test_missing_stage_input_names_the_stage_to_run(pipeline_dir, tmp_path, caps
     assert main([command, *base, "--out", str(tmp_path), *extra]) == 2
     assert capsys.readouterr().err.rstrip().endswith(f"{tmp_path / missing} not found; run {writer} first")
     assert sorted(p.name for p in tmp_path.iterdir()) == present
+
+
+_BUNDLED = Path(cli.__file__).resolve().parent / "data"
+
+
+def _record_reads(monkeypatch, opened: list):
+    """Make open and io.open append each path they open for reading to ``opened``."""
+    real = io.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
+            opened.append(Path(file).resolve())
+        return real(file, mode, *args, **kwargs)
+
+    for owner in (builtins, io):
+        monkeypatch.setattr(owner, "open", recording_open)
+
+
+@pytest.mark.parametrize("named", [False, True], ids=["bundled", "named"])
+def test_stages_names_every_file_a_stage_reads(tmp_path, monkeypatch, named):
+    # Each stage opens for reading exactly the files its STAGES entry names, files
+    # inside a named directory (models, --sidecar-root) and bundled resources.
+    reads = {}  # stage -> (the paths main passed it, the files it opened for reading)
+    for stage in cli.STAGES:
+        def traced(cfg, paths, stage=stage, run=getattr(cli, f"cmd_{stage}")):
+            opened = []
+            with monkeypatch.context() as m:
+                _record_reads(m, opened)
+                rc = run(cfg, paths)
+            reads[stage] = paths, opened
+            return rc
+        monkeypatch.setattr(cli, f"cmd_{stage}", traced)
+    spec_file, data, out = tmp_path / "spec.json", tmp_path / "data", tmp_path / "out"
+    spec_file.write_text(json.dumps(SPEC))
+    base = ["--seed", "7", "--out", str(out), "--campaigns", str(data / "campaigns.jsonl"),
+            "--census", str(data / "census.csv"), "--quality-scores", str(data / "quality.csv"),
+            "--trees", "3", "--cv-folds", "2"]
+    if named:
+        for name, flag in (("categories.txt", "--categories"), ("demo_lexicon.dic", "--lexicon")):
+            shutil.copy(_BUNDLED / name, tmp_path / name)
+            base += [flag, str(tmp_path / name)]
+    assert main(["synth", *base, "--out", str(data), str(spec_file)]) == 0
+    # The sidecar root holds only faces.jsonl, so no other input lies in a named directory.
+    (tmp_path / "faces").mkdir()
+    (data / "faces.jsonl").rename(tmp_path / "faces" / "faces.jsonl")
+    base += ["--sidecar-root", str(tmp_path / "faces")]
+    for stage in ("ingest", "featurize", "screen", "evaluate", "train"):
+        assert main([stage, *base]) == 0
+    assert main(["predict", *base, str(data / "campaigns.jsonl")]) == 0
+    assert main(["report", *base]) == 0
+    assert sorted(reads) == sorted(cli.STAGES)
+    for stage, (paths, opened) in reads.items():
+        declared = {paths[key].resolve() for key in cli.STAGES[stage][0] if paths[key] is not None}
+        for path in opened:
+            assert path in declared or any(d in path.parents for d in (*declared, _BUNDLED)), (stage, path)
+        # and each declared file, or a file in each declared directory, is read
+        for path in declared:
+            assert any(p == path or path in p.parents for p in opened), (stage, path)
+
+
+#: The message each file a stage reads gives when it is missing, as a format of its path.
+_MISSING = {
+    "dataset": "{} not found; run ingest first", "features": "{} not found; run featurize first",
+    "models": "{} not found; run train first", "campaigns": "campaign snapshot not found: {}",
+    "census": "census file not found: {}", "quality_scores": "quality score file not found: {}",
+    "sidecar_root": "sidecar root not found: {}", "lexicon": "lexicon file not found: {}",
+    "categories": "category registry not found: {}", "spec_file": "synthetic spec file not found: {}",
+    "campaign_file": "campaign file not found: {}",
+}
+_FLAGS = {"campaigns": "--campaigns", "census": "--census", "quality_scores": "--quality-scores",
+          "sidecar_root": "--sidecar-root", "lexicon": "--lexicon", "categories": "--categories",
+          "models": "--models"}
+
+
+@pytest.mark.parametrize("stage, key", [(stage, key) for stage, (reads, _) in cli.STAGES.items()
+                                        for key in reads])
+def test_a_missing_input_fails_before_any_is_read(pipeline_dir, served, tmp_path, monkeypatch, capsys,
+                                                  stage, key):
+    root, _, _ = pipeline_dir
+    data, out = root / "data", tmp_path / "out"
+    out.mkdir()
+    for name in ("dataset.jsonl", "features.npz"):
+        shutil.copy(root / "out" / name, out / name)
+    files = {"campaigns": data / "campaigns.jsonl", "census": data / "census.csv",
+             "quality_scores": data / "quality.csv", "sidecar_root": data, "models": served[0],
+             "campaign_file": served[1], "spec_file": tmp_path / "spec.json",
+             "lexicon": tmp_path / "lexicon.dic", "categories": tmp_path / "categories.txt"}
+    files["spec_file"].write_text(json.dumps(SPEC))
+    shutil.copy(_BUNDLED / "demo_lexicon.dic", files["lexicon"])
+    shutil.copy(_BUNDLED / "categories.txt", files["categories"])
+    if key in ("dataset", "features"):
+        missing = out / ("dataset.jsonl" if key == "dataset" else "features.npz")
+        missing.unlink()
+    else:
+        missing = files[key] = tmp_path / "nowhere" / files[key].name
+    positional = cli.STAGES[stage][1]
+    argv = [stage, "--seed", "7", "--out", str(out),
+            *(arg for k, flag in _FLAGS.items() for arg in (flag, str(files[k]))),
+            *([str(files[positional])] if positional else [])]
+    before = sorted(out.iterdir())
+    capsys.readouterr()
+    opened = []
+    with monkeypatch.context() as m:
+        _record_reads(m, opened)
+        assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {_MISSING[key].format(missing)}\n"
+    assert opened == []
+    assert sorted(out.iterdir()) == before
+
+
+def test_config_fingerprint_covers_alpha():
+    # With --assembly screened, alpha sets the gate, so it decides evaluate's report.
+    fingerprints = {load_config(None, build_parser().parse_args(
+        ["evaluate", "--seed", "1", "--assembly", "screened", "--alpha", alpha])).fingerprint()
+        for alpha in ("0.05", "1e-12")}
+    assert len(fingerprints) == 2
+
+
+def test_ini_values_are_read_literally(tmp_path):
+    # A value reads as the same flag does: no % interpolation.
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nseed = 3\nout = res%2024\ncampaigns = %(seed)s.jsonl\n")
+    cfg = load_config(str(ini), build_parser().parse_args(["ingest"]))
+    assert (cfg.out, cfg.campaigns) == (Path("res%2024"), Path("%(seed)s.jsonl"))
 
 
 def test_main_dispatches_through_the_module_attribute(pipeline_dir, monkeypatch):
@@ -741,7 +867,7 @@ def test_features_npz_holds_the_exact_features(pipeline_dir):
     cfg = load_config(None, build_parser().parse_args(["featurize", *base]))
     registry = CategoryRegistry.default()
     campaigns, _ = load_campaigns(root / "data" / "campaigns.jsonl", registry)  # predict's path
-    built = build_feature_matrix(campaigns, registry, **_feature_inputs(cfg))
+    built = build_feature_matrix(campaigns, registry, **_feature_inputs(_dataset_paths(cfg)))
     saved, saved_labels, _ = _load_features(_dataset_paths(cfg))
     assert saved.ids == built.ids and saved.names == built.names
     assert np.array_equal(saved.values, built.values, equal_nan=True)
