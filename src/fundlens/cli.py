@@ -553,6 +553,9 @@ def main(argv=None) -> int:
             if paths[key] is not None and not paths[key].exists():
                 raise ConfigError(f"{paths[key]} not found; run {_WRITER[key]} first" if key in _WRITER
                                   else f"{_WHAT[key]} not found: {paths[key]}")
+            # A file given as the root, such as faces.jsonl itself, would read as "no faces".
+            if key == "sidecar_root" and paths[key] is not None and not paths[key].is_dir():
+                raise ConfigError(f"sidecar root is not a directory: {paths[key]}")
         # Looked up at call time, not kept in a table: the benchmark tracer
         # (perfbench/tracer.py) times a stage by replacing this module attribute.
         return globals()[f"cmd_{args.command}"](cfg, paths)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent import futures
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -404,10 +405,26 @@ def parallel_map(fn, tasks, jobs: int) -> list:
     # "fork" where the platform has it: under "spawn" or "forkserver" (Linux's default from
     # Python 3.14) each worker imports NumPy afresh, about 0.45 s a stage on a 2-vCPU host.
     import multiprocessing  # not at module level: a serial run never loads it
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    with futures.ProcessPoolExecutor(max_workers=workers,
-                                     mp_context=multiprocessing.get_context(method)) as pool:
+    ctx = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods()
+                                      else None)
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    with futures.ProcessPoolExecutor(max_workers=workers, mp_context=ctx, initializer=_start_worker,
+                                     initargs=(ctx.Value("i", 0), cpus)) as pool:
         return list(pool.map(fn, tasks))
+
+
+def _start_worker(started, cpus) -> None:
+    """Pool initializer: move the k-th worker to start (``started`` counts them) to CPU
+    ``cpus[k % len(cpus)]``, then give it all of ``cpus`` back. A forked worker starts on
+    its parent's CPU, where the scheduler often left two workers sharing one CPU; the
+    restore still lets a worker leave a CPU another process is using. No-op for no cpus."""
+    if not cpus:
+        return
+    with started.get_lock():
+        k = started.value
+        started.value += 1
+    os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+    os.sched_setaffinity(0, cpus)
 
 
 def fit(X, y, config: ForestConfig, feature_names=None, jobs: int = 1) -> RandomForest:

@@ -99,16 +99,24 @@ def _face_values(obj) -> tuple:
             *scores)
 
 
+def _mean(values) -> float:
+    """The floats ``values`` added left to right, over their count. Not the builtin sum,
+    which from Python 3.12 adds floats with compensation and can round differently."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
 def _face_row(faces) -> tuple:
     """The FACE_COLUMNS of an image from the _face_values of its faces. Each mean
-    is the builtin sum over the faces in file order, divided by n: the feature
-    artifacts depend on that order of arithmetic, bit for bit."""
-    n = len(faces)
-    if n == 0:
+    is the _mean of the faces' values in file order: the feature artifacts depend
+    on that order of arithmetic, bit for bit."""
+    if not faces:
         return _NO_FACES
     smiles, ages, beauties, *emotions = zip(*faces)
-    return (n, any(smiles), any(a < CHILD_AGE for a in ages), sum(ages) / n, sum(beauties) / n,
-            *[sum(scores) / n for scores in emotions])
+    return (len(faces), any(smiles), any(a < CHILD_AGE for a in ages), _mean(ages), _mean(beauties),
+            *[_mean(scores) for scores in emotions])
 
 
 #: The face provider's output: one JSON line per image,

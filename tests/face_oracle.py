@@ -10,6 +10,15 @@ import math
 from fundlens.images import CHILD_AGE, EMOTION_KEYS
 
 
+def _total(values) -> float:
+    """Added one value at a time, left to right: from Python 3.12 the builtin sum
+    adds floats with compensation."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def face_columns(faces) -> list:
     """num_faces, any_smile, is_child, mean age, mean beauty and the mean of
     each emotion of an image's face objects, each number taken as a float; NaN
@@ -22,8 +31,8 @@ def face_columns(faces) -> list:
         float(n),
         float(any(f["smile"]["value"] for f in faces)),
         float(any(a < CHILD_AGE for a in ages)),
-        sum(ages) / n,
-        sum((float(f["beauty"]["female_score"]) + float(f["beauty"]["male_score"])) / 2.0
-            for f in faces) / n,
-        *(sum(float(f["emotion"][k]) for f in faces) / n for k in EMOTION_KEYS),
+        _total(ages) / n,
+        _total((float(f["beauty"]["female_score"]) + float(f["beauty"]["male_score"])) / 2.0
+               for f in faces) / n,
+        *(_total(float(f["emotion"][k]) for f in faces) / n for k in EMOTION_KEYS),
     ]

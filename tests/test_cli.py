@@ -401,10 +401,9 @@ _FLAGS = {"campaigns": "--campaigns", "census": "--census", "quality_scores": "-
           "models": "--models"}
 
 
-@pytest.mark.parametrize("stage, key", [(stage, key) for stage, (reads, _) in cli.STAGES.items()
-                                        for key in reads])
-def test_a_missing_input_fails_before_any_is_read(pipeline_dir, served, tmp_path, monkeypatch, capsys,
-                                                  stage, key):
+def _stage_files(pipeline_dir, served, tmp_path):
+    """(out, files): an output directory holding dataset.jsonl and features.npz, and every
+    other file a stage can read, by _dataset_paths key."""
     root, _, _ = pipeline_dir
     data, out = root / "data", tmp_path / "out"
     out.mkdir()
@@ -417,11 +416,11 @@ def test_a_missing_input_fails_before_any_is_read(pipeline_dir, served, tmp_path
     files["spec_file"].write_text(json.dumps(SPEC))
     shutil.copy(_BUNDLED / "demo_lexicon.dic", files["lexicon"])
     shutil.copy(_BUNDLED / "categories.txt", files["categories"])
-    if key in ("dataset", "features"):
-        missing = out / ("dataset.jsonl" if key == "dataset" else "features.npz")
-        missing.unlink()
-    else:
-        missing = files[key] = tmp_path / "nowhere" / files[key].name
+    return out, files
+
+
+def _fails_before_reading(monkeypatch, capsys, stage, out, files, message):
+    """Run ``stage`` on ``files``: it exits 2 with ``message``, opens no file and writes nothing."""
     positional = cli.STAGES[stage][1]
     argv = [stage, "--seed", "7", "--out", str(out),
             *(arg for k, flag in _FLAGS.items() for arg in (flag, str(files[k]))),
@@ -432,9 +431,34 @@ def test_a_missing_input_fails_before_any_is_read(pipeline_dir, served, tmp_path
     with monkeypatch.context() as m:
         _record_reads(m, opened)
         assert main(argv) == 2
-    assert capsys.readouterr().err == f"config error: {_MISSING[key].format(missing)}\n"
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert opened == []
     assert sorted(out.iterdir()) == before
+
+
+@pytest.mark.parametrize("stage, key", [(stage, key) for stage, (reads, _) in cli.STAGES.items()
+                                        for key in reads])
+def test_a_missing_input_fails_before_any_is_read(pipeline_dir, served, tmp_path, monkeypatch, capsys,
+                                                  stage, key):
+    out, files = _stage_files(pipeline_dir, served, tmp_path)
+    if key in ("dataset", "features"):
+        missing = out / ("dataset.jsonl" if key == "dataset" else "features.npz")
+        missing.unlink()
+    else:
+        missing = files[key] = tmp_path / "nowhere" / files[key].name
+    _fails_before_reading(monkeypatch, capsys, stage, out, files, _MISSING[key].format(missing))
+
+
+@pytest.mark.parametrize("stage", [stage for stage, (reads, _) in cli.STAGES.items()
+                                   if "sidecar_root" in reads])
+def test_a_sidecar_root_that_is_a_file_fails_before_any_is_read(pipeline_dir, served, tmp_path,
+                                                                monkeypatch, capsys, stage):
+    # Named as the root, faces.jsonl itself would otherwise give every campaign no faces.
+    out, files = _stage_files(pipeline_dir, served, tmp_path)
+    files["sidecar_root"] = files["sidecar_root"] / "faces.jsonl"
+    assert files["sidecar_root"].is_file()
+    _fails_before_reading(monkeypatch, capsys, stage, out, files,
+                          f"sidecar root is not a directory: {files['sidecar_root']}")
 
 
 def test_config_fingerprint_covers_alpha():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import multiprocessing
+import os
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -367,10 +368,15 @@ def test_parallel_map_keeps_task_order_and_caps_workers(monkeypatch):
     started = []
 
     class Pool:
-        def __init__(self, max_workers, mp_context):
+        def __init__(self, max_workers, mp_context, initializer, initargs):
             assert mp_context.get_start_method() == (
                 "fork" if "fork" in multiprocessing.get_all_start_methods() else
                 multiprocessing.get_start_method())
+            # each worker starts through the hook that spreads workers over the CPUs
+            counter, cpus = initargs
+            assert initializer is forest_module._start_worker and counter.value == 0
+            assert cpus == (sorted(os.sched_getaffinity(0))
+                            if hasattr(os, "sched_setaffinity") else [])
             started.append(max_workers)
 
         def __enter__(self):
@@ -388,6 +394,32 @@ def test_parallel_map_keeps_task_order_and_caps_workers(monkeypatch):
     assert parallel_map(_square, [7], jobs=4) == [49]
     assert parallel_map(_square, tasks, jobs=1) == [9, 1, 16, 1, 25]
     assert started == [5, 3]
+
+
+@pytest.mark.parametrize("cpus", [[3], [0, 2, 5]])
+def test_start_worker_moves_worker_k_to_its_cpu_then_gives_all_back(monkeypatch, cpus):
+    calls = []
+    monkeypatch.setattr(forest_module.os, "sched_setaffinity", lambda pid, s: calls.append((pid, s)))
+    counter = multiprocessing.Value("i", 0)
+    for _ in range(7):
+        forest_module._start_worker(counter, cpus)
+    assert counter.value == 7
+    assert calls == [call for k in range(7)
+                     for call in ((0, {cpus[k % len(cpus)]}), (0, cpus))]
+    # with no CPU list (no sched_setaffinity on the platform) a worker stays where it starts
+    calls.clear()
+    forest_module._start_worker(counter, [])
+    assert calls == [] and counter.value == 7
+
+
+def _cpus(_):
+    return os.sched_getaffinity(0)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
+def test_pool_workers_run_on_every_cpu_of_the_parent():
+    # The move to a worker's own CPU is undone before any task runs.
+    assert parallel_map(_cpus, range(6), jobs=2) == [os.sched_getaffinity(0)] * 6
 
 
 @settings(max_examples=60, deadline=None)

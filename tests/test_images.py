@@ -102,6 +102,12 @@ def test_aggregate_hand_values(tmp_path):
     assert agg["face_emotion_happiness"] == pytest.approx(80.0)
 
 
+def test_face_means_are_added_left_to_right(tmp_path):
+    # Ten ages of 0.1 add up, left to right, to 0.9999999999999999; from Python 3.12 the
+    # builtin sum gives 1.0, so the mean would depend on the interpreter.
+    assert _columns(tmp_path, [_face_obj(age=0.1)] * 10)["face_mean_age"] == 0.09999999999999999
+
+
 def test_is_child_strictly_under_ten(tmp_path):
     assert _columns(tmp_path, [_face_obj(age=10.0)])["is_child"] == 0
     assert _columns(tmp_path, [_face_obj(age=9.99)])["is_child"] == 1
