@@ -382,7 +382,7 @@ def cmd_train(cfg: RunConfig, paths: dict) -> int:
                       "base_names": sub.names, "medians": medians})
     if not fits:
         raise DataError("no band had enough labeled campaigns to train")
-    # One pool for the stage: the bands are fitted in parallel, saved in band order.
+    # One parallel_map for the stage: the bands are fitted in parallel, saved in band order.
     for meta, model in zip(metas, rf.parallel_map(_fit_band, fits, cfg.jobs)):
         model.save(model_dir / f"{meta['band']}.json")
         (model_dir / f"{meta['band']}_meta.json").write_text(

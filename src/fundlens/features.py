@@ -22,6 +22,7 @@ from .core import CategoryRegistry
 from .errors import EmptySetting, SchemaError, ShapeError
 from .images import FACE_COLUMNS
 from .ingest import PopulationTable
+from .stats import pow2_scaled
 from .text import Lexicon, campaign_text, clout_surrogate, extract
 
 #: features.npz keeps the label columns (core.LABEL_KEYS) beside the values; a missing
@@ -223,14 +224,24 @@ def impute_with_indicators(train_values: np.ndarray, apply_values: np.ndarray, n
     """
     train = np.asarray(train_values, dtype=np.float64)
     med = np.median(train, axis=0)
-    gappy = np.flatnonzero(np.isnan(train).any(axis=0))
-    for j in gappy:
+    for j in np.flatnonzero(~np.isfinite(med)):  # a NaN in the column, or an overflow
         finite = train[~np.isnan(train[:, j]), j]
-        med[j] = np.median(finite) if finite.size else 0.0
+        med[j] = _median(finite) if finite.size else 0.0
+    gappy = np.flatnonzero(np.isnan(train).any(axis=0))
     medians = dict(zip(names, med.tolist()))
     out_names = [*names, *(f"{names[j]}__missing" for j in gappy)]
     applied = None if apply_values is None else apply_imputation(apply_values, names, medians, out_names)
     return apply_imputation(train, names, medians, out_names), applied, out_names, medians
+
+
+def _median(values) -> float:
+    """np.median, taken again on values scaled by a power of two when the sum of its two
+    middle values overflows (both above about 9e307)."""
+    m = float(np.median(values))
+    if math.isinf(m):
+        scaled, e = pow2_scaled(values)
+        m = float(np.ldexp(np.median(scaled), e))
+    return m
 
 
 def apply_imputation(values: np.ndarray, names, medians: dict, out_names):

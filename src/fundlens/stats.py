@@ -109,7 +109,10 @@ def _t_two_sided_p(t: float, df: float) -> float:
 
 
 def pearson_r(x, y) -> float:
-    """Sample Pearson correlation, clipped to [-1, 1] against rounding."""
+    """Sample Pearson correlation, clipped to [-1, 1] against rounding.
+
+    Sums that overflow, or may have lost terms to underflow, are taken again on x and y scaled
+    by powers of two (``pow2_scaled``), which is exact and gives the r of the unscaled data."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
@@ -117,14 +120,36 @@ def pearson_r(x, y) -> float:
     n = x.size
     if n < 3:
         raise InsufficientData(f"pearson_r needs n >= 3, got {n}")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx = math.sqrt(float(dx @ dx))
-    sy = math.sqrt(float(dy @ dy))
+    sxx, syy, sxy = _centred_sums(x, y)
+    if not (_UNDERFLOW < sxx < math.inf and _UNDERFLOW < syy < math.inf and math.isfinite(sxy)):
+        sxx, syy, sxy = _centred_sums(pow2_scaled(x)[0], pow2_scaled(y)[0])
+    sx = math.sqrt(sxx)
+    sy = math.sqrt(syy)
     if sx == 0.0 or sy == 0.0:
         raise DegenerateInput("zero variance input to pearson_r")
-    r = float(dx @ dy) / (sx * sy)
+    r = sxy / (sx * sy)
     return max(-1.0, min(1.0, r))
+
+
+#: A sum of squares below this may hold terms that underflowed (squares under 2**-1022).
+_UNDERFLOW = 2.0 ** -600
+
+
+def _centred_sums(x, y) -> tuple:
+    """Sums of squares and cross products of x and y about their means."""
+    dx = x - x.mean()
+    dy = y - y.mean()
+    return float(dx @ dx), float(dy @ dy), float(dx @ dy)
+
+
+def pow2_scaled(v) -> tuple:
+    """(v * 2**-e, e), with e such that the largest |value| of v * 2**-e lies in [0.5, 1).
+
+    Scaling by a power of two is exact (for every value above 2**-1021 times the largest), so a
+    statistic that scales with v, such as a mean, sd or median, is ldexp(stat(scaled), e),
+    without the overflow or underflow of taking it on v itself."""
+    e = int(np.frexp(np.max(np.abs(v)))[1])
+    return np.ldexp(v, -e), e
 
 
 def pearson_p(r: float, n: int) -> float:
@@ -239,10 +264,13 @@ def screen(values: np.ndarray, feature_names, ratios, band: str, category: str,
             continue
         p = pearson_p(r, n_eff)
         if p < threshold:
+            mean, sd = float(xj.mean()), float(xj.std(ddof=1))
+            if not (math.isfinite(mean) and math.isfinite(sd)):  # sums near the float limit overflow
+                scaled, e = pow2_scaled(xj)
+                mean, sd = (float(np.ldexp(v, e)) for v in (scaled.mean(), scaled.std(ddof=1)))
             rows.append(SignificantFeature(
                 goal_band=band, category=category, feature=name,
-                mean=float(xj.mean()), sd=float(xj.std(ddof=1)),
-                r=r, p=p, n=n_eff, threshold=threshold,
+                mean=mean, sd=sd, r=r, p=p, n=n_eff, threshold=threshold,
             ))
     rows.sort(key=lambda row: (row.p, row.feature))
     return rows, notes

@@ -193,6 +193,32 @@ def test_train_and_predict(pipeline_dir):
     assert pred[1].startswith("fresh,")
 
 
+def test_train_and_predict_with_populations_near_the_float_limit(tmp_path):
+    # np.median averages the two middle values, and their sum overflows above about 9e307:
+    # train wrote an infinite median that predict refused, and retraining could not help.
+    spec = {"cells": [{"band": "B1", "category": "Other", "n": 60}],
+            "effects": [{"feature": "city_population", "modality": "population", "slope": 0.1}],
+            "noise_sigma": 0.05}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    data, out = tmp_path / "data", tmp_path / "out"
+    base = ["--seed", "3", "--out", str(out), "--campaigns", str(data / "campaigns.jsonl"),
+            "--census", str(data / "census.csv"), "--quality-scores", str(data / "quality.csv"),
+            "--sidecar-root", str(data)]
+    assert main(["synth", *base, "--out", str(data), str(tmp_path / "spec.json")]) == 0
+    census = (data / "census.csv").read_text(encoding="utf-8").splitlines()
+    huge = [f"{row.rsplit(',', 1)[0]},1.5e308" if row.startswith("plantcity") else row
+            for row in census]
+    assert huge != census
+    (data / "census.csv").write_text("\n".join(huge) + "\n", encoding="utf-8")
+    for stage in ("ingest", "featurize"):
+        assert main([stage, *base]) == 0
+    assert main(["train", *base, "--trees", "3"]) == 0
+    meta = json.loads((out / "models" / "B1_meta.json").read_text())
+    assert meta["medians"]["city_population"] == 1.5e308
+    assert main(["predict", *base, str(data / "campaigns.jsonl")]) == 0
+    assert len((out / "predictions.csv").read_text().splitlines()) == 61
+
+
 def test_parallel_train_writes_the_serial_models(pipeline_dir, monkeypatch):
     root, out, base = pipeline_dir
     calls = []

@@ -243,6 +243,15 @@ def test_impute_with_indicators():
     np.testing.assert_array_equal(te, [[3.0, 2.0, 7.0, 0.0, 0.0]])
 
 
+def test_impute_medians_of_values_near_the_float_limit_stay_finite():
+    # np.median averages the two middle values, and their sum overflows above about 9e307.
+    train = np.array([[1.5e308, 1.0], [1.5e308, np.nan], [1.7e308, 3.0], [1.6e308, np.nan]])
+    _, _, _, medians = impute_with_indicators(train, None, ["a", "b"])
+    assert medians == {"a": 1.55e308, "b": 2.0}
+    gappy = np.array([[1.7e308], [np.nan], [1.5e308]])
+    assert impute_with_indicators(gappy, None, ["a"])[3] == {"a": 1.6e308}
+
+
 def test_impute_no_missing_is_identity():
     train = np.array([[1.0, 2.0], [3.0, 4.0]])
     tr, te, out_names, medians = impute_with_indicators(train, train, ["a", "b"])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -181,6 +182,23 @@ def test_pearson_affine_invariance(seed, scale, shift):
     assert pearson_r(x, -scale * y + shift) == pytest.approx(-r0, abs=1e-10)
 
 
+def test_pearson_r_is_the_same_bits_at_any_power_of_two_scale():
+    # Near the float limit the sums overflow, far below it they underflow; either way r is
+    # computed again on rescaled vectors, and scaling by 2**k is exact, so r keeps its bits.
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=50)
+    y = 0.3 * x + rng.normal(size=50)
+    r = pearson_r(x, y)
+    for k in (*range(-1000, 1001, 37), -1000, 1000):
+        assert pearson_r(np.ldexp(x, k), y) == r, k
+        assert pearson_r(x, np.ldexp(y, k)) == r, k
+        assert pearson_r(np.ldexp(x, k), np.ldexp(y, -k)) == r, k
+    # At 1e200 the sums of squares overflow to inf, which read r = 0.0 before.
+    assert pearson_r(x * 1e200, y) == pytest.approx(r, abs=1e-14)
+    with pytest.raises(DegenerateInput):
+        pearson_r(np.full(5, 1e308), [1, 2, 3, 4, 5])
+
+
 # ---------------------------------------------------------------------------
 # Two-sample t-test
 # ---------------------------------------------------------------------------
@@ -250,6 +268,17 @@ def test_screen_handles_missing_and_constant_columns():
     rows, notes = screen(values, ["a", "b", "c"], ratios, band="B2", category="Other")
     assert any(row.feature == "a" for row in rows)
     assert all(row.feature != "b" for row in rows)
+
+
+def test_screen_of_values_near_the_float_limit_matches_its_unit_scale_twin():
+    # A cell whose values reach 1.6e308 once screened as inf, inf, r = 1.0, p = 0.
+    rng = np.random.default_rng(6)
+    values = rng.uniform(1.0, 1.75, size=(40, 2))
+    ratios = np.clip(3.6 - 2.0 * values[:, 0] + rng.normal(0, 0.1, 40), 0, 2.5)
+    twin, _ = screen(values, ["a", "b"], ratios, band="B1", category="Other")
+    huge, _ = screen(np.ldexp(values, 1023), ["a", "b"], ratios, band="B1", category="Other")
+    assert twin and max(values[:, 0] * 2.0 ** 1023) > 1e308
+    assert [replace(row, mean=np.ldexp(row.mean, 1023), sd=np.ldexp(row.sd, 1023)) for row in twin] == huge
 
 
 def test_screen_small_cell_returns_note():
