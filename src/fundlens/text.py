@@ -11,18 +11,27 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+import struct
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
-from .errors import SchemaError, SurrogateUnavailable, utf8_input
+from .errors import RangeError, SchemaError, SurrogateUnavailable, utf8_input
 
 # Tokens are runs of letters/digits, with internal apostrophes kept ("don't").
 _TOKEN = re.compile(r"[^\W_]+(?:'[^\W_]+)*", re.UNICODE)
 
 #: Scale of the logistic map in the confidence-tone surrogate score.
 CLOUT_SCALE = 2.0
+
+#: Width of one counter in extract's packed word counts; ``struct`` format "I".
+_FIELD_BITS = 32
+#: Longest text extract counts, in characters after lowercasing. A token is at
+#: least one character and counts at most once in each category, so no count
+#: exceeds the text's length and no field of a packed sum carries into the next.
+_MAX_CHARS = (1 << _FIELD_BITS) - 1
 
 
 @dataclass
@@ -41,10 +50,9 @@ class Lexicon:
     _exact: dict = field(default_factory=dict, repr=False)
     # (k, {prefix of length k: categories}) for each wildcard length k, ascending
     _prefixes: list = field(default_factory=list, repr=False)
-    # extract's per-word cache: whitespace-free word -> its token count, and
-    # -> its ((category, hits), ...) pairs for words that hit a category
-    _word_tokens: dict = field(default_factory=dict, repr=False)
-    _word_hits: dict = field(default_factory=dict, repr=False)
+    # extract's per-word cache: whitespace-free word -> its packed counts, field 0
+    # (the lowest _FIELD_BITS bits) its token count and field c + 1 its hits in category c
+    _packed: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         by_length: dict = {}
@@ -68,16 +76,17 @@ class Lexicon:
                 cats = cats | idxs
         return cats
 
-    def _cache_word(self, word: str) -> None:
-        """Tokenize and match one whitespace-free word into extract's cache."""
-        tokens = _TOKEN.findall(word)
-        hits: dict = {}
-        for token in tokens:
-            for ci in self.match(token):
-                hits[ci] = hits.get(ci, 0) + 1
-        self._word_tokens[word] = len(tokens)
-        if hits:
-            self._word_hits[word] = tuple(hits.items())
+    def _pack(self, word: str) -> int:
+        """The packed counts of one whitespace-free word, tokenized and matched once."""
+        packed = self._packed.get(word)
+        if packed is None:
+            tokens = _TOKEN.findall(word)
+            packed = len(tokens)
+            for token in tokens:
+                for ci in self.match(token):
+                    packed += 1 << (_FIELD_BITS * (ci + 1))
+            self._packed[word] = packed
+        return packed
 
 
 def load_lexicon(path=None) -> Lexicon:
@@ -151,17 +160,25 @@ def extract(text: str, lexicon: Lexicon) -> TextFeatures:
     A token counting toward k categories adds one hit to each. Empty text
     yields word_count 0 and all-zero percentages. Every whitespace character
     is ``\\W``, so no token spans one: the text is split on whitespace and
-    each distinct word is tokenized and matched once per lexicon.
+    each distinct word is tokenized and matched once per lexicon, into one
+    integer that packs its token count and its hits in every category. One
+    sum over the text's words then gives every count, and a word not yet
+    cached adds one to a field above the counts, which says how many to look
+    up. A text longer than ``_MAX_CHARS`` after lowercasing is a RangeError.
     """
-    words = text.lower().split()
-    word_tokens, word_hits = lexicon._word_tokens, lexicon._word_hits
-    for word in set(words).difference(word_tokens):
-        lexicon._cache_word(word)
-    n = sum(map(word_tokens.__getitem__, words))
-    hits = [0] * len(lexicon.categories)
-    for word in filter(word_hits.__contains__, words):
-        for ci, h in word_hits[word]:
-            hits[ci] += h
+    lowered = text.lower()
+    if len(lowered) > _MAX_CHARS:
+        raise RangeError(f"text of {len(lowered)} characters is longer than {_MAX_CHARS}")
+    words = lowered.split()
+    fields = len(lexicon.categories) + 1
+    miss = 1 << (_FIELD_BITS * fields)
+    packed = list(map(lexicon._packed.get, words, repeat(miss)))
+    misses, total = divmod(sum(packed), miss)
+    i = -1
+    for _ in range(misses):
+        i = packed.index(miss, i + 1)
+        total += lexicon._pack(words[i])
+    n, *hits = struct.unpack(f"<{fields}I", total.to_bytes(fields * _FIELD_BITS // 8, "little"))
     if n == 0:
         percentages = {name: 0.0 for name in lexicon.categories}
     else:

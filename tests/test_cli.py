@@ -119,12 +119,15 @@ _PROTOCOL_SPEC = {
     "words_per_description": 40,
 }
 
-#: sha256 of screen's and evaluate's files for _PROTOCOL_SPEC at seed 3. Like
+#: sha256 of featurize's, screen's and evaluate's files for _PROTOCOL_SPEC at seed 3. Like
 #: tests/test_synth.py::test_write_dataset_is_pinned they follow NumPy's
 #: Generator streams: re-pin only after a NumPy upgrade, with a note in CHANGES.md.
 #: The "holdout" digests cover report.csv without its notes and cv_* columns:
 #: the holdout cells and weighted totals, which a change to CV alone must not move.
+#: "features.npz values" covers the bytes of the float64 values array alone.
 _PROTOCOL_DIGESTS = {
+    "features.csv": "1a0a5e622fb5e5317f23fde5fc90de7af753b6c0321e53863f6df9a63ec65514",
+    "features.npz values": "8b7640b1e4aa75fbe0f8b8b19a72d31e065715aa3d9911a806fa30c0f9a94332",
     "screening.csv": "658395c392162a55b3fc5cc1ae7de97080af6ec54843e9402f12d8c8ebea2a53",
     "screening_notes.json": "c323470bb98a2ca82d12be7e030a8412b341d596f332e63bfd7c36f9c269c5b6",
     "all-features/report.csv": "8f6a4e0902e0560f301bdbd24d0e37f4f9ab572a8aa6e8780ba373deeffb34b6",
@@ -160,7 +163,9 @@ def test_screen_and_evaluate_outputs_are_pinned(tmp_path):
     for stage in ("ingest", "featurize", "screen"):
         assert main([stage, *base]) == 0
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-               for name in ("screening.csv", "screening_notes.json")}
+               for name in ("features.csv", "screening.csv", "screening_notes.json")}
+    with np.load(out / "features.npz") as z:
+        digests["features.npz values"] = hashlib.sha256(z["values"].tobytes()).hexdigest()
     forest = ["--trees", "3", "--max-depth", "4", "--full-settings-bands", "B1,B2,B3"]
     for run, flags in (("all-features", ["--cv-folds", "3"]),
                        ("screened", ["--assembly", "screened", "--target", "four-class"])):

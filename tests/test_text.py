@@ -6,7 +6,8 @@ from importlib import resources
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fundlens.errors import SchemaError, SurrogateUnavailable
+from fundlens import text as text_module
+from fundlens.errors import RangeError, SchemaError, SurrogateUnavailable
 from fundlens.text import (
     Lexicon,
     LexiconEntry,
@@ -32,6 +33,13 @@ def test_lexicon_fingerprint_is_the_hash_of_its_file(tmp_path):
     lexicon = load_lexicon(path)
     assert lexicon.fingerprint == hashlib.sha256(path.read_bytes()).hexdigest()[:16]
     assert (lexicon.categories, lexicon.entries) == (load_lexicon().categories, load_lexicon().entries)
+
+
+def test_lexicon_equality_ignores_the_word_cache():
+    used, fresh = load_lexicon(), load_lexicon()
+    extract("we think you know", used)
+    assert used == fresh
+    assert repr(used) == repr(fresh)
 
 
 def test_tokenize_basic():
@@ -228,6 +236,7 @@ _PIECES = st.one_of(
 @given(st.lists(_PIECES, max_size=40).map("".join))
 @example("'we' we''re ''i İstanbul\x1cthink　x_y\x85our'\xa0WE")
 @example("")
+@example("we " * 70_000 + "i'm zq1")  # the token count and the we hits pass 2**16
 def test_cached_extract_equals_token_by_token_counts(text):
     lexicon = load_lexicon()
     n, pcts = _reference_counts(text, lexicon)
@@ -236,3 +245,11 @@ def test_cached_extract_equals_token_by_token_counts(text):
         assert feats.word_count == n
         assert [p.hex() for p in feats.percentages.values()] == pcts
         assert list(feats.percentages) == lexicon.categories
+
+
+def test_extract_refuses_a_text_whose_counts_could_carry(monkeypatch):
+    # Lowercasing "İ" gives two characters, so the bound applies to the lowered text.
+    monkeypatch.setattr(text_module, "_MAX_CHARS", 4)
+    assert extract("we i", load_lexicon()).word_count == 2
+    with pytest.raises(RangeError):
+        extract("we İ", load_lexicon())
