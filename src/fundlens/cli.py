@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import forest as rf
+from . import forest as rf, parallel
 from .core import BANDS, LABEL_KEYS, MAX_GOAL, MAX_RATIO, Campaign, CategoryRegistry, assign_goal_band
 from .errors import ConfigError, DataError, FundlensError, SchemaError, utf8_input
 from .experiment import Setting, assemble, labeled_bands, run_experiment
@@ -383,7 +383,7 @@ def cmd_train(cfg: RunConfig, paths: dict) -> int:
     if not fits:
         raise DataError("no band had enough labeled campaigns to train")
     # One parallel_map for the stage: the bands are fitted in parallel, saved in band order.
-    for meta, model in zip(metas, rf.parallel_map(_fit_band, fits, cfg.jobs)):
+    for meta, model in zip(metas, parallel.parallel_map(_fit_band, fits, cfg.jobs)):
         model.save(model_dir / f"{meta['band']}.json")
         (model_dir / f"{meta['band']}_meta.json").write_text(
             json.dumps(meta, sort_keys=True, indent=1), encoding="utf-8")

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from . import forest as rf
+from . import forest as rf, parallel
 from .core import BANDS
 from .errors import EmptySetting, InsufficientData, LabelError, ShapeError
 from .features import FeatureMatrix, impute_with_indicators
@@ -302,7 +302,7 @@ def run_experiment(bands, labels, matrix: FeatureMatrix, cfg: RunConfig, header:
     ``screened_by_band`` (band -> feature names), if given, gates the columns.
     Each band draws its holdout split and CV folds once, and all its settings
     fit on those rows. Every (band, split) task is planned first (notes included),
-    then all run through one ``rf.parallel_map`` on up to ``cfg.jobs`` processes,
+    then all run through one ``parallel.parallel_map`` on up to ``cfg.jobs`` processes,
     then rows are scored in plan order, so the report does not depend on ``cfg.jobs``.
     """
     bands = list(bands)
@@ -347,7 +347,7 @@ def run_experiment(bands, labels, matrix: FeatureMatrix, cfg: RunConfig, header:
                   for fit_rows, apply_rows, seed_suffix in splits]
         planned.append((band, settings, train_rows.size, test_rows.size, slice(first, len(tasks))))
 
-    predictions = rf.parallel_map(_fit_predict, tasks, cfg.jobs)
+    predictions = parallel.parallel_map(_fit_predict, tasks, cfg.jobs)
     rows: list = []
     for band, settings, n_train, n_test, span in planned:
         for si, (setting, _) in enumerate(settings):

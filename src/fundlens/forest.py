@@ -8,26 +8,22 @@ level is scanned in chunks of about ``_ENTRY_BUDGET`` (node, feature, row) entri
 draws its bootstrap, then one block of candidate features per level, from its own generator
 seeded (config.seed, tree_index), so it depends on nothing else: not on groups, chunks or
 ``jobs``. Trees are flat arrays in breadth-first order, numbered once the group's last
-level is grown. ``parallel_map`` is the one place that forks: with ``jobs`` above 1 it runs
-tasks on this process and forked children, which inherit the tasks and send back results.
+level is grown. With ``jobs`` above 1, ``parallel.parallel_map`` grows the trees on this
+process and forked children.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-import pickle
-import signal
-import struct
-import sys
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, FundlensError, InsufficientData, InvalidMatrix, ShapeError
+from . import parallel
+from .errors import ConfigError, InsufficientData, InvalidMatrix, ShapeError
 
 _SERIAL_VERSION = 1
 _TREE_DTYPES = {"feature": np.int32, "threshold": np.float64, "left": np.int32, "right": np.int32,
@@ -398,167 +394,6 @@ class RandomForest:
         return cls.from_json(payload, source=str(path))
 
 
-def parallel_map(fn, tasks, jobs: int) -> list:
-    """``[fn(t) for t in tasks]`` on this process and min(jobs, len(tasks)) − 1 forked children,
-    or serially in this process when that minimum is 1 or the platform has no ``os.fork``.
-
-    The children inherit fn and tasks, so neither is pickled. Every process takes the next task
-    index from one counter, a token passed round through a pipe, and each child sends its tasks'
-    pickled results or exceptions back on a pipe of its own, which this process reads once its
-    own tasks are done. This process moves to the first CPU of its CPU set and child k to the
-    k-th, wrapping round, and each then gets the whole set back: a forked child starts on its
-    parent's CPU, where two processes often stayed together.
-
-    Results keep task order. A failure raises what the serial loop raises, the exception of the
-    lowest failing task, and once a task has failed no process starts another. A child that
-    ends before sending a result, or cannot pickle one, raises a FundlensError naming it.
-    """
-    if jobs < 1:
-        raise ConfigError("jobs must be >= 1")
-    workers = min(jobs, len(tasks))
-    if workers <= 1 or not hasattr(os, "fork"):
-        return [fn(t) for t in tasks]
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
-    outcomes: list = [None] * len(tasks)  # (kind, value) of each task once it is in
-    ended: list = []  # how each child that ended early ended
-    children: dict = {}  # read end of a child's result pipe -> its pid
-    counter = os.pipe()
-    try:
-        os.write(counter[1], _INDEX.pack(0))
-        _place(cpus, 0)
-        _flush_std_streams()  # or a child could write out what this process buffered
-        for k in range(1, workers):
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _child(fn, tasks, counter, w, cpus, k)
-            os.close(w)
-            children[r] = pid
-        for i, outcome in _work(fn, tasks, counter):
-            outcomes[i] = outcome
-        while children:  # a child never waits on another, so any order is safe
-            r, pid = next(iter(children.items()))
-            received = _read_all(r)
-            os.close(r)
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[r]
-            if not _decode(received, pid, outcomes):
-                how = f"killed by signal {-status}" if status < 0 else f"exit status {status}"
-                ended.append(f"worker process {pid} ended early ({how})")
-    finally:
-        for fd in counter:
-            os.close(fd)
-        for r, pid in children.items():  # left only when this process raised
-            os.close(r)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    for i, outcome in enumerate(outcomes):
-        if outcome is None:
-            raise FundlensError(f"task {i} got no result: {'; '.join(ended)}")
-        if outcome[0] != _RESULT:
-            raise outcome[1]
-    return [value for _, value in outcomes]
-
-
-#: The counter token: the index of the next task to take.
-_INDEX = struct.Struct("q")
-#: The header of each message on a child's result pipe: task index, kind, payload bytes.
-_FRAME = struct.Struct("qbq")
-_RESULT, _RAISED, _UNSENDABLE, _DONE = range(4)
-
-
-def _take(counter, n: int, stop: bool = False) -> int:
-    """Take the counter token and put back the next index, or n to stop every process."""
-    i, = _INDEX.unpack(os.read(counter[0], _INDEX.size))
-    os.write(counter[1], _INDEX.pack(n if stop else min(i + 1, n)))
-    return i
-
-
-def _work(fn, tasks, counter):
-    """Run tasks by index from the counter, yielding (index, (kind, result or exception))."""
-    n = len(tasks)
-    while (i := _take(counter, n)) < n:
-        try:
-            outcome = (_RESULT, fn(tasks[i]))
-        except Exception as exc:  # the caller raises it if no lower task failed
-            _take(counter, n, stop=True)
-            outcome = (_RAISED, exc)
-        yield i, outcome
-
-
-def _child(fn, tasks, counter, w, cpus, k) -> None:
-    """A forked child's whole life: work, send each outcome on w, then a _DONE message. It
-    exits here and never returns into its parent's code."""
-    code = 1
-    try:
-        _place(cpus, k)
-        # The parent reads only once its own tasks are done, so a full pipe must not stop the
-        # work: send what fits after each task and keep the rest until the last.
-        os.set_blocking(w, False)
-        unsent = bytearray()
-        for i, (kind, value) in _work(fn, tasks, counter):
-            try:
-                payload = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
-            except Exception as exc:  # pickling can raise any type
-                kind, payload = _UNSENDABLE, f"{type(exc).__name__}: {exc}".encode()
-            unsent += _FRAME.pack(i, kind, len(payload)) + payload
-            try:
-                del unsent[:os.write(w, unsent)]
-            except BlockingIOError:
-                pass
-        unsent += _FRAME.pack(-1, _DONE, 0)
-        os.set_blocking(w, True)
-        view = memoryview(unsent)
-        while view:
-            view = view[os.write(w, view):]
-        _flush_std_streams()
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _read_all(fd) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 20):
-        chunks.append(chunk)
-    return b"".join(chunks)
-
-
-def _decode(received, pid, outcomes) -> bool:
-    """Store a child's messages in outcomes; whether they end with its _DONE message."""
-    pos = 0
-    while pos + _FRAME.size <= len(received):
-        i, kind, size = _FRAME.unpack_from(received, pos)
-        pos += _FRAME.size + size
-        if kind == _DONE:
-            return True
-        if pos > len(received):
-            break
-        payload = received[pos - size:pos]
-        try:
-            if kind == _UNSENDABLE:
-                raise pickle.PicklingError(payload.decode())
-            outcomes[i] = (kind, pickle.loads(payload))
-        except Exception as exc:  # unpickling can raise any type
-            outcomes[i] = (_RAISED, FundlensError(
-                f"task {i}: worker process {pid} could not send its result back "
-                f"({type(exc).__name__}: {exc})"))
-    return False
-
-
-def _place(cpus, k: int) -> None:
-    """Move this process to CPU ``cpus[k % len(cpus)]``, then give it all of ``cpus`` back:
-    the restore still lets it leave a CPU another process is using. No-op for no cpus."""
-    if cpus:
-        os.sched_setaffinity(0, {cpus[k % len(cpus)]})
-        os.sched_setaffinity(0, cpus)
-
-
-def _flush_std_streams() -> None:
-    sys.stdout.flush()
-    sys.stderr.flush()
-
-
 def fit(X, y, config: ForestConfig, feature_names=None, jobs: int = 1) -> RandomForest:
     """Train a forest of CART trees on bootstrap samples (a single-class y gives a constant
     model). With jobs > 1, the trees are cut into up to jobs tasks that ``parallel_map`` grows on
@@ -581,6 +416,6 @@ def fit(X, y, config: ForestConfig, feature_names=None, jobs: int = 1) -> Random
     cols, n_trees = _Columns(X, y_codes, labels.size), config.n_estimators
     size = -(-n_trees // max(jobs, 1))  # one task of trees a process
     tasks = [(cols, config, range(i, min(i + size, n_trees))) for i in range(0, n_trees, size)]
-    trees, importance = zip(*(p for part in parallel_map(_grow, tasks, jobs) for p in part))
+    trees, importance = zip(*(p for part in parallel.parallel_map(_grow, tasks, jobs) for p in part))
     return RandomForest(list(trees), labels, feature_names, config,
                         [(config.seed, i) for i in range(n_trees)], np.sum(importance, axis=0))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fundlens import forest as rf
+import fundlens.parallel as parallel_module
 from fundlens.cli import RunConfig
 from fundlens.errors import LabelError
 from fundlens.experiment import (
@@ -334,14 +334,14 @@ def test_every_setting_of_a_band_fits_on_the_same_rows(monkeypatch):
     cfg = RunConfig(seed=2, trees=2, cv_folds=3,
                     settings=(Setting.BASIC, Setting.LIWC, Setting.LATE_FUSION))
     planned = []
-    real = rf.parallel_map
+    real = parallel_module.parallel_map
 
     def recording_map(fn, tasks, jobs):
         if fn is _fit_predict:  # forest.fit maps its trees through here too
             planned.extend(tasks)
         return real(fn, tasks, jobs)
 
-    monkeypatch.setattr(rf, "parallel_map", recording_map)
+    monkeypatch.setattr(parallel_module, "parallel_map", recording_map)
     report = run_experiment(bands, labels, matrix, cfg, {})
     for band in ("B1", "B2"):
         tasks = [t for t in planned if t.settings[0][0][1] == band]
