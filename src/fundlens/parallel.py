@@ -18,11 +18,11 @@ def parallel_map(fn, tasks, jobs: int) -> list:
     or serially in this process when that minimum is 1 or the platform has no ``os.fork``.
 
     The children inherit fn and tasks, so neither is pickled. Every process takes the next task
-    index from one counter, a token passed round through a pipe, and each child sends its tasks'
-    pickled results or exceptions back on a pipe of its own, which this process reads once its
-    own tasks are done. This process moves to the first CPU of its CPU set and child k to the
-    k-th, wrapping round, and each then gets the whole set back: a forked child starts on its
-    parent's CPU, where two processes often stayed together.
+    index from one counter, a token passed round through a pipe. After its last task each child
+    sends its tasks' pickled results or exceptions back as one pickle on a pipe of its own, which
+    this process reads once its own tasks are done. This process moves to the first CPU of its
+    CPU set and child k to the k-th, wrapping round, and each then gets the whole set back: a
+    forked child starts on its parent's CPU, where two processes often stayed together.
 
     Results keep task order. A failure raises what the serial loop raises, the exception of the
     lowest failing task, and once a task has failed no process starts another. A child that
@@ -36,7 +36,7 @@ def parallel_map(fn, tasks, jobs: int) -> list:
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     outcomes: list = [None] * len(tasks)  # (kind, value) of each task once it is in
     ended: list = []  # how each child that ended early ended
-    children: dict = {}  # read end of a child's result pipe -> its pid
+    children: dict = {}  # a child's result pipe, open for reading -> its pid
     counter = os.pipe()
     try:
         os.write(counter[1], _INDEX.pack(0))
@@ -48,23 +48,23 @@ def parallel_map(fn, tasks, jobs: int) -> list:
             if pid == 0:
                 _child(fn, tasks, counter, w, cpus, k)
             os.close(w)
-            children[r] = pid
+            children[open(r, "rb")] = pid
         for i, outcome in _work(fn, tasks, counter):
             outcomes[i] = outcome
         while children:  # a child never waits on another, so any order is safe
-            r, pid = next(iter(children.items()))
-            received = _read_all(r)
-            os.close(r)
+            pipe, pid = next(iter(children.items()))
+            with pipe:
+                received = pipe.read()
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[r]
+            del children[pipe]
             if not _decode(received, pid, outcomes):
                 how = f"killed by signal {-status}" if status < 0 else f"exit status {status}"
                 ended.append(f"worker process {pid} ended early ({how})")
     finally:
         for fd in counter:
             os.close(fd)
-        for r, pid in children.items():  # left only when this process raised
-            os.close(r)
+        for pipe, pid in children.items():  # left only when this process raised
+            pipe.close()  # a no-op for a pipe already read
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     for i, outcome in enumerate(outcomes):
@@ -77,9 +77,7 @@ def parallel_map(fn, tasks, jobs: int) -> list:
 
 #: The counter token: the index of the next task to take.
 _INDEX = struct.Struct("q")
-#: The header of each message on a child's result pipe: task index, kind, payload bytes.
-_FRAME = struct.Struct("qbq")
-_RESULT, _RAISED, _UNSENDABLE, _DONE = range(4)
+_RESULT, _RAISED, _UNSENDABLE = range(3)
 
 
 def _take(counter, n: int, stop: bool = False) -> int:
@@ -102,54 +100,35 @@ def _work(fn, tasks, counter):
 
 
 def _child(fn, tasks, counter, w, cpus, k) -> None:
-    """A forked child's whole life: work, send each outcome on w, then a _DONE message. It
-    exits here and never returns into its parent's code."""
+    """A forked child's whole life: work, then send a list of (index, kind, pickled result or
+    exception) on w as one pickle. It exits here and never returns into its parent's code."""
     code = 1
     try:
         _place(cpus, k)
-        # The parent reads only once its own tasks are done, so a full pipe must not stop the
-        # work: send what fits after each task and keep the rest until the last.
-        os.set_blocking(w, False)
-        unsent = bytearray()
+        sent = []
         for i, (kind, value) in _work(fn, tasks, counter):
             try:
                 payload = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
             except Exception as exc:  # pickling can raise any type
                 kind, payload = _UNSENDABLE, f"{type(exc).__name__}: {exc}".encode()
-            unsent += _FRAME.pack(i, kind, len(payload)) + payload
-            try:
-                del unsent[:os.write(w, unsent)]
-            except BlockingIOError:
-                pass
-        unsent += _FRAME.pack(-1, _DONE, 0)
-        os.set_blocking(w, True)
-        view = memoryview(unsent)
-        while view:
-            view = view[os.write(w, view):]
+            sent.append((i, kind, payload))
+        # A full pipe blocks only here, once no task is left: the parent reads after its own.
+        with open(w, "wb") as pipe:
+            pickle.dump(sent, pipe, pickle.HIGHEST_PROTOCOL)
         _flush_std_streams()
         code = 0
     finally:
         os._exit(code)
 
 
-def _read_all(fd) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 20):
-        chunks.append(chunk)
-    return b"".join(chunks)
-
-
 def _decode(received, pid, outcomes) -> bool:
-    """Store a child's messages in outcomes; whether they end with its _DONE message."""
-    pos = 0
-    while pos + _FRAME.size <= len(received):
-        i, kind, size = _FRAME.unpack_from(received, pos)
-        pos += _FRAME.size + size
-        if kind == _DONE:
-            return True
-        if pos > len(received):
-            break
-        payload = received[pos - size:pos]
+    """Store the outcomes a child sent in outcomes; whether it sent them. A child that ended
+    early sent nothing or a pickle cut short."""
+    try:
+        sent = pickle.loads(received)
+    except (EOFError, pickle.UnpicklingError):
+        return False
+    for i, kind, payload in sent:
         try:
             if kind == _UNSENDABLE:
                 raise pickle.PicklingError(payload.decode())
@@ -158,7 +137,7 @@ def _decode(received, pid, outcomes) -> bool:
             outcomes[i] = (_RAISED, FundlensError(
                 f"task {i}: worker process {pid} could not send its result back "
                 f"({type(exc).__name__}: {exc})"))
-    return False
+    return True
 
 
 def _place(cpus, k: int) -> None:

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import re
 import time
 
@@ -131,6 +132,18 @@ def test_parallel_map_names_a_child_that_cannot_return_its_result(forks, how, pr
     with pytest.raises(FundlensError, match=r"^task \d+:? " + problem) as caught:
         parallel_map(_misbehave_in_child, [(os.getpid(), how, i) for i in range(10)], jobs=2)
     assert int(re.search(problem, str(caught.value)).group(1)) == forks[0]
+
+
+def test_decode_takes_no_pickle_or_a_cut_one_as_a_child_that_ended_early():
+    sent = pickle.dumps([(1, parallel_module._RESULT, pickle.dumps(9)),
+                         (2, parallel_module._RESULT, pickle.dumps(16))])
+    for received in (b"", sent[:1], sent[:len(sent) // 2], sent[:-1]):
+        outcomes = [None] * 3
+        assert parallel_module._decode(received, 1234, outcomes) is False
+        assert outcomes == [None] * 3
+    outcomes = [None] * 3
+    assert parallel_module._decode(sent, 1234, outcomes) is True
+    assert outcomes == [None, (parallel_module._RESULT, 9), (parallel_module._RESULT, 16)]
 
 
 def _record_place(cpus, k):
