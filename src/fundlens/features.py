@@ -223,10 +223,11 @@ def impute_with_indicators(train_values: np.ndarray, apply_values: np.ndarray, n
     Returns (train_imputed, apply_imputed or None, out_names, medians).
     """
     train = np.asarray(train_values, dtype=np.float64)
-    med = np.median(train, axis=0)
-    for j in np.flatnonzero(~np.isfinite(med)):  # a NaN in the column, or an overflow
-        finite = train[~np.isnan(train[:, j]), j]
-        med[j] = _median(finite) if finite.size else 0.0
+    with np.errstate(over="ignore"):  # _median takes a median that overflows again, scaled
+        med = np.median(train, axis=0)
+        for j in np.flatnonzero(~np.isfinite(med)):  # a NaN in the column, or an overflow
+            finite = train[~np.isnan(train[:, j]), j]
+            med[j] = _median(finite) if finite.size else 0.0
     gappy = np.flatnonzero(np.isnan(train).any(axis=0))
     medians = dict(zip(names, med.tolist()))
     out_names = [*names, *(f"{names[j]}__missing" for j in gappy)]
@@ -248,20 +249,13 @@ def apply_imputation(values: np.ndarray, names, medians: dict, out_names):
     """The one imputation transform, for training and prediction rows alike.
 
     Fills every NaN with its column's training median and appends the
-    trained indicator columns (1.0 where the value was missing).
+    trained indicator columns (1.0 where the value was missing). ``out_names``
+    is ``names`` then ``<name>__missing`` indicators of some of them, as
+    impute_with_indicators builds it; predict checks a stored layout when it
+    loads the model.
     """
-    names = list(names)
-    if set(medians) != set(names):
-        raise SchemaError("stored medians do not match the feature columns; retrain the model")
-    if list(out_names[: len(names)]) != names:
-        raise SchemaError("model expects its feature columns in a different order")
     base = {n: j for j, n in enumerate(names)}
-    indicators = []
-    for name in out_names[len(names):]:
-        src = name[: -len("__missing")] if name.endswith("__missing") else None
-        if src not in base:
-            raise SchemaError(f"model expects unknown feature {name!r}")
-        indicators.append(base[src])
+    indicators = [base[name[: -len("__missing")]] for name in out_names[len(names):]]
     vals = np.asarray(values, dtype=np.float64)
     missing = np.isnan(vals)
     filled = np.where(missing, np.asarray([medians[n] for n in names], dtype=np.float64), vals)

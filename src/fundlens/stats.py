@@ -120,7 +120,8 @@ def pearson_r(x, y) -> float:
     n = x.size
     if n < 3:
         raise InsufficientData(f"pearson_r needs n >= 3, got {n}")
-    sxx, syy, sxy = _centred_sums(x, y)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, and then retried
+        sxx, syy, sxy = _centred_sums(x, y)
     if not (_UNDERFLOW < sxx < math.inf and _UNDERFLOW < syy < math.inf and math.isfinite(sxy)):
         sxx, syy, sxy = _centred_sums(pow2_scaled(x)[0], pow2_scaled(y)[0])
     sx = math.sqrt(sxx)
@@ -136,10 +137,12 @@ _UNDERFLOW = 2.0 ** -600
 
 
 def _centred_sums(x, y) -> tuple:
-    """Sums of squares and cross products of x and y about their means."""
+    """Sums of squares and cross products of x and y about their means, each a NumPy pairwise
+    sum: ``@`` is a BLAS dot product, whose order of terms depends on its thread count."""
     dx = x - x.mean()
     dy = y - y.mean()
-    return float(dx @ dx), float(dy @ dy), float(dx @ dy)
+    add = np.add.reduce
+    return float(add(dx * dx)), float(add(dy * dy)), float(add(dx * dy))
 
 
 def pow2_scaled(v) -> tuple:
@@ -264,8 +267,9 @@ def screen(values: np.ndarray, feature_names, ratios, band: str, category: str,
             continue
         p = pearson_p(r, n_eff)
         if p < threshold:
-            mean, sd = float(xj.mean()), float(xj.std(ddof=1))
-            if not (math.isfinite(mean) and math.isfinite(sd)):  # sums near the float limit overflow
+            with np.errstate(over="ignore", invalid="ignore"):  # sums near the float limit overflow
+                mean, sd = float(xj.mean()), float(xj.std(ddof=1))
+            if not (math.isfinite(mean) and math.isfinite(sd)):
                 scaled, e = pow2_scaled(xj)
                 mean, sd = (float(np.ldexp(v, e)) for v in (scaled.mean(), scaled.std(ddof=1)))
             rows.append(SignificantFeature(

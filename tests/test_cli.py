@@ -198,6 +198,7 @@ def test_train_and_predict(pipeline_dir):
     assert pred[1].startswith("fresh,")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_and_predict_with_populations_near_the_float_limit(tmp_path):
     # np.median averages the two middle values, and their sum overflows above about 9e307:
     # train wrote an infinite median that predict refused, and retraining could not help.

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fundlens
 from fundlens.errors import (
     DegenerateInput,
     DomainError,
@@ -182,6 +187,7 @@ def test_pearson_affine_invariance(seed, scale, shift):
     assert pearson_r(x, -scale * y + shift) == pytest.approx(-r0, abs=1e-10)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_pearson_r_is_the_same_bits_at_any_power_of_two_scale():
     # Near the float limit the sums overflow, far below it they underflow; either way r is
     # computed again on rescaled vectors, and scaling by 2**k is exact, so r keeps its bits.
@@ -197,6 +203,30 @@ def test_pearson_r_is_the_same_bits_at_any_power_of_two_scale():
     assert pearson_r(x * 1e200, y) == pytest.approx(r, abs=1e-14)
     with pytest.raises(DegenerateInput):
         pearson_r(np.full(5, 1e308), [1, 2, 3, 4, 5])
+
+
+_PEARSON_BITS = """
+import numpy as np
+from fundlens.stats import pearson_r
+rng = np.random.default_rng(3)
+for n in (12_000, 50_000):
+    x, y = rng.lognormal(10, 2, n), rng.uniform(0, 2.5, n)
+    print(float.hex(pearson_r(x, y)))
+"""
+
+
+def test_pearson_r_does_not_depend_on_the_blas_thread_count():
+    # A BLAS dot product splits a long vector across its threads, so its order of terms depends
+    # on how many it has: with OpenBLAS, r on the 50,000 pairs differed in its last bits.
+    src = str(Path(fundlens.__file__).resolve().parents[1])
+    bits = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        run = subprocess.run([sys.executable, "-c", _PEARSON_BITS], env=env, capture_output=True,
+                             text=True, check=True)
+        bits.append(run.stdout.split())
+    assert len(bits[0]) == 2 and bits[0] == bits[1]
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +300,7 @@ def test_screen_handles_missing_and_constant_columns():
     assert all(row.feature != "b" for row in rows)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_screen_of_values_near_the_float_limit_matches_its_unit_scale_twin():
     # A cell whose values reach 1.6e308 once screened as inf, inf, r = 1.0, p = 0.
     rng = np.random.default_rng(6)
