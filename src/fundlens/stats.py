@@ -138,10 +138,11 @@ _UNDERFLOW = 2.0 ** -600
 
 def _centred_sums(x, y) -> tuple:
     """Sums of squares and cross products of x and y about their means, each a NumPy pairwise
-    sum: ``@`` is a BLAS dot product, whose order of terms depends on its thread count."""
-    dx = x - x.mean()
-    dy = y - y.mean()
+    sum: ``@`` is a BLAS dot product, whose order of terms depends on its thread count. A mean
+    is the sum over n, the bits of ``mean()`` without its Python-level overhead."""
     add = np.add.reduce
+    dx = x - add(x) / x.size
+    dy = y - add(y) / y.size
     return float(add(dx * dx)), float(add(dy * dy)), float(add(dx * dy))
 
 
