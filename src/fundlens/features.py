@@ -223,7 +223,7 @@ def impute_with_indicators(train_values: np.ndarray, apply_values: np.ndarray, n
     Returns (train_imputed, apply_imputed or None, out_names, medians).
     """
     train = np.asarray(train_values, dtype=np.float64)
-    with np.errstate(over="ignore"):  # _median takes a median that overflows again, scaled
+    with np.errstate(over="ignore"):  # _median takes an overflowing median again, scaled
         med = np.median(train, axis=0)
         for j in np.flatnonzero(~np.isfinite(med)):  # a NaN in the column, or an overflow
             finite = train[~np.isnan(train[:, j]), j]

@@ -221,8 +221,8 @@ def test_pearson_r_does_not_depend_on_the_blas_thread_count():
     src = str(Path(fundlens.__file__).resolve().parents[1])
     bits = []
     for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         run = subprocess.run([sys.executable, "-c", _PEARSON_BITS], env=env, capture_output=True,
                              text=True, check=True)
         bits.append(run.stdout.split())
