@@ -186,7 +186,7 @@ def build_feature_matrix(
         row += [1.0 if c.category == label else 0.0 for label in registry.labels]
 
         if population_table is None:
-            row += [nan, nan]
+            row += [nan, 1.0]
         else:
             pop = population_table.lookup(c.city, c.state)
             row += [nan, 1.0] if pop is None else [float(pop), 0.0]

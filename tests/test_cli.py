@@ -846,6 +846,20 @@ def test_dataset_record_without_cover_image_has_no_image(pipeline_dir, tmp_path)
                           equal_nan=True)
 
 
+def test_featurize_without_side_inputs_marks_every_modality_missing(pipeline_dir, tmp_path):
+    # No --census, --quality-scores or --sidecar-root: each modality's indicator reads 1.0
+    # on every row, so imputation adds no indicator of an indicator.
+    root, out, base = pipeline_dir
+    shutil.copy(out / "dataset.jsonl", tmp_path / "dataset.jsonl")
+    assert main(["featurize", "--seed", "7", "--out", str(tmp_path)]) == 0
+    matrix, _, _ = features.FeatureMatrix.load(tmp_path / "features.npz",
+                                               cli._sha256(tmp_path / "dataset.jsonl"))
+    for name in ("population_missing", "image_quality_missing", "face_missing"):
+        assert (matrix.column(name) == 1.0).all(), name
+    _, _, out_names, _ = features.impute_with_indicators(matrix.values, None, matrix.names)
+    assert [n for n in out_names if n.endswith("_missing__missing")] == []
+
+
 def test_reordered_dataset_exits_3(pipeline_dir, tmp_path, capsys):
     # features.npz rows must be the dataset.jsonl campaigns in the same order;
     # matching by position alone would screen and train on the wrong labels.
