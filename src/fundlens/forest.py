@@ -302,9 +302,9 @@ def _trees(levels, n_trees, d):
 class RandomForest:
     """Trained ensemble; immutable and safely shareable across threads."""
 
-    def __init__(self, trees, labels, feature_names, config, tree_seeds, importance_raw):
+    def __init__(self, trees, labels, feature_names, config, importance_raw):
         self.trees, self.labels, self.feature_names = trees, np.asarray(labels), list(feature_names)
-        self.config, self.tree_seeds, self._importance_raw = config, tree_seeds, importance_raw
+        self.config, self._importance_raw = config, importance_raw
 
     @property
     def n_features(self) -> int:
@@ -340,7 +340,6 @@ class RandomForest:
     def to_json(self) -> dict:
         return {"version": _SERIAL_VERSION, "config": asdict(self.config),
                 "labels": self.labels.tolist(), "feature_names": self.feature_names,
-                "tree_seeds": [list(s) for s in self.tree_seeds],
                 "importance_raw": self._importance_raw.tolist(),
                 "trees": [{k: getattr(t, k).tolist() for k in _TREE_DTYPES} for t in self.trees]}
 
@@ -360,7 +359,6 @@ class RandomForest:
             labels, feature_names = np.asarray(payload["labels"]), list(payload["feature_names"])
             trees = [Tree(*(np.asarray(t[k], dtype=dt) for k, dt in _TREE_DTYPES.items()))
                      for t in payload["trees"]]
-            tree_seeds = [tuple(s) for s in payload["tree_seeds"]]
             importance_raw = np.asarray(payload["importance_raw"], dtype=np.float64)
         except KeyError as exc:
             raise bad(f"missing field {exc}") from None
@@ -383,7 +381,7 @@ class RandomForest:
             # A child after its node also rules out a cycle.
             if any(((c[inner] <= inner) | (c[inner] >= n)).any() for c in (t.left, t.right)):
                 raise bad(f"tree {i}: a child index is not after its node")
-        return cls(trees, labels, feature_names, config, tree_seeds, importance_raw)
+        return cls(trees, labels, feature_names, config, importance_raw)
 
     @classmethod
     def load(cls, path) -> "RandomForest":
@@ -417,5 +415,4 @@ def fit(X, y, config: ForestConfig, feature_names=None, jobs: int = 1) -> Random
     size = -(-n_trees // max(jobs, 1))  # one task of trees a process
     tasks = [(cols, config, range(i, min(i + size, n_trees))) for i in range(0, n_trees, size)]
     trees, importance = zip(*(p for part in parallel.parallel_map(_grow, tasks, jobs) for p in part))
-    return RandomForest(list(trees), labels, feature_names, config,
-                        [(config.seed, i) for i in range(n_trees)], np.sum(importance, axis=0))
+    return RandomForest(list(trees), labels, feature_names, config, np.sum(importance, axis=0))
