@@ -24,7 +24,7 @@ import numpy as np
 from . import forest as rf, parallel
 from .core import BANDS, LABEL_KEYS, MAX_GOAL, MAX_RATIO, Campaign, CategoryRegistry, assign_goal_band
 from .errors import ConfigError, DataError, FundlensError, SchemaError, utf8_input
-from .experiment import Setting, assemble, labeled_bands, run_experiment
+from .experiment import SETTING_GROUPS, Setting, assemble, labeled_bands, run_experiment
 from .features import FeatureMatrix, apply_imputation, build_feature_matrix, impute_with_indicators
 from .images import StubFaceProvider, is_finite_number, load_precomputed_quality
 from .ingest import load_campaigns, load_population_table
@@ -152,7 +152,7 @@ def load_config(path: Optional[str], args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"assembly must be all-features or screened, got {cfg.assembly!r}")
     if not set(cfg.full_settings_bands) <= set(BANDS):
         raise ConfigError(f"full_settings_bands must name bands B1-B4, got {cfg.full_settings_bands!r}")
-    if cfg.train_setting not in {s.value for s in Setting} - {Setting.LATE_FUSION.value}:
+    if cfg.train_setting not in {s.value for s, groups in SETTING_GROUPS.items() if len(groups) == 1}:
         raise ConfigError(f"train_setting must name a single-model setting, got {cfg.train_setting!r}")
     if cfg.jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {cfg.jobs}")

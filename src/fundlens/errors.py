@@ -44,10 +44,6 @@ class ShapeError(DataError):
     pass
 
 
-class LabelError(DataError):
-    pass
-
-
 class RangeError(DataError):
     pass
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import forest as rf, parallel
 from .core import BANDS
-from .errors import EmptySetting, InsufficientData, LabelError, ShapeError
+from .errors import EmptySetting, InsufficientData, ShapeError
 from .features import FeatureMatrix, impute_with_indicators
 
 if TYPE_CHECKING:  # cli imports this module
@@ -31,17 +31,17 @@ class Setting(Enum):
     LATE_FUSION = "LateFusion"
 
 
-SETTING_MODALITIES = {
-    Setting.BASIC: ("basic",),
-    Setting.LIWC: ("text",),
-    Setting.POPULATION: ("population",),
-    Setting.FACE: ("face",),
-    Setting.IMAGE_QUALITY: ("image_quality",),
-    Setting.EARLY_FUSION_ALL: ("basic", "population", "text", "image_quality", "face"),
+#: The modality groups of each setting, one model per group. A setting with more than
+#: one group is late fusion: its models' class probabilities are averaged.
+SETTING_GROUPS = {
+    Setting.BASIC: (("basic",),),
+    Setting.LIWC: (("text",),),
+    Setting.POPULATION: (("population",),),
+    Setting.FACE: (("face",),),
+    Setting.IMAGE_QUALITY: (("image_quality",),),
+    Setting.EARLY_FUSION_ALL: (("basic", "population", "text", "image_quality", "face"),),
+    Setting.LATE_FUSION: (("text",), ("image_quality", "face")),
 }
-
-#: Modality groups for the late-fusion setting: one text model, one image model.
-LATE_FUSION_GROUPS = (("text",), ("image_quality", "face"))
 
 
 def _columns(matrix: FeatureMatrix, modalities, screened_names=None) -> list:
@@ -63,29 +63,18 @@ def _columns(matrix: FeatureMatrix, modalities, screened_names=None) -> list:
 
 
 def assemble(matrix: FeatureMatrix, setting: Setting, screened_names=None) -> FeatureMatrix:
-    """Column filter for a single-model setting; see _columns for the gate."""
-    if setting == Setting.LATE_FUSION:
-        raise EmptySetting("LateFusion assembles per modality group; use assemble per group")
-    return matrix.select_names(_columns(matrix, SETTING_MODALITIES[setting], screened_names))
+    """Column filter for a one-model setting; see _columns for the gate."""
+    groups = SETTING_GROUPS[setting]
+    if len(groups) > 1:
+        raise EmptySetting(f"{setting.value} fits a model per modality group; use assemble per group")
+    return matrix.select_names(_columns(matrix, groups[0], screened_names))
 
 
-def late_fuse_proba(models, xs) -> np.ndarray:
-    """Average per-modality model outputs into one probability vector per row."""
-    if len(models) < 2:
-        raise LabelError("late fusion needs at least 2 models")
-    if len(models) != len(xs):
-        raise ShapeError("one input matrix per model required")
-    base = models[0].labels
-    for m in models[1:]:
-        if m.labels.shape != base.shape or (m.labels != base).any():
-            raise LabelError("late fusion requires a shared label set")
-    probas = [m.predict_proba(x) for m, x in zip(models, xs)]
-    return np.mean(probas, axis=0)
-
-
-def late_fuse(models, xs) -> np.ndarray:
-    """Fused label predictions; probability ties go to the lower label."""
-    proba = late_fuse_proba(models, xs)
+def fuse(models, xs) -> np.ndarray:
+    """The labels of the argmax of the models' mean class probabilities, each model
+    applied to its own input; ties go to the lower label. One model gives its own
+    ``predict``. Every model of a setting is fitted on the same labels."""
+    proba = np.mean([m.predict_proba(x) for m, x in zip(models, xs)], axis=0)
     return models[0].labels[np.argmax(proba, axis=1)]
 
 
@@ -123,7 +112,7 @@ class Metrics:
     zero_division: bool = False
 
 
-def compute_metrics(y_true, y_pred, labels=None) -> Metrics:
+def compute_metrics(y_true, y_pred) -> Metrics:
     """Support-weighted precision/recall/F1 from the confusion matrix.
 
     Weighted recall equals accuracy by construction. Zero-denominator
@@ -133,10 +122,7 @@ def compute_metrics(y_true, y_pred, labels=None) -> Metrics:
     y_pred = np.asarray(y_pred)
     if y_true.shape != y_pred.shape or y_true.size == 0:
         raise ShapeError("y_true and y_pred must be equal-length, non-empty")
-    if labels is None:
-        labels = np.unique(np.concatenate([y_true, y_pred]))
-    else:
-        labels = np.asarray(labels)
+    labels = np.unique(np.concatenate([y_true, y_pred]))
     accuracy = float((y_true == y_pred).mean())
     per_class = {}
     support = {}
@@ -229,10 +215,9 @@ def _derived_seed(*parts) -> int:
 
 
 def _model_columns(matrix: FeatureMatrix, setting: Setting, screened_names=None) -> tuple:
-    """Column names of each model a setting trains: one model, or one per
-    late-fusion group. Raises EmptySetting when a model would have none."""
-    groups = LATE_FUSION_GROUPS if setting == Setting.LATE_FUSION else (SETTING_MODALITIES[setting],)
-    return tuple(tuple(_columns(matrix, group, screened_names)) for group in groups)
+    """Column names of each model a setting trains, one per group in SETTING_GROUPS.
+    Raises EmptySetting when a model would have none."""
+    return tuple(tuple(_columns(matrix, group, screened_names)) for group in SETTING_GROUPS[setting])
 
 
 def _imputed_columns(out_names, names) -> list:
@@ -272,7 +257,7 @@ def _fit_predict(task: _FoldTask) -> list:
             models.append(rf.fit(Xtr[:, picked], y, replace(task.forest, seed=seed),
                                  feature_names=[out_names[j] for j in picked]))
             xs.append(Xte[:, picked])
-        predictions.append(late_fuse(models, xs) if late else models[0].predict(xs[0]))
+        predictions.append(fuse(models, xs))
     return predictions
 
 

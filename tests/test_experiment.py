@@ -6,17 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 import fundlens.parallel as parallel_module
 from fundlens.cli import RunConfig
-from fundlens.errors import LabelError
 from fundlens.experiment import (
-    LATE_FUSION_GROUPS,
+    SETTING_GROUPS,
     Setting,
     _fit_predict,
     _imputed_columns,
     _model_columns,
     assemble,
     compute_metrics,
-    late_fuse,
-    late_fuse_proba,
+    fuse,
     run_experiment,
     stratified_kfold,
 )
@@ -59,47 +57,47 @@ def test_assemble_screened_gate_spares_basic():
     assert basic.names == ["launch_year"]
 
 
-def test_late_fuse_average():
+def _lowest_label_of_the_max(labels, proba):
+    # The rule fuse states, row by row: of the labels with the largest probability, the lowest.
+    return np.asarray([labels[np.flatnonzero(row == row.max())].min() for row in proba])
+
+
+def test_fuse_of_two_models_is_the_argmax_of_their_mean_probability():
     rng = np.random.default_rng(3)
     n = 80
     x1 = rng.normal(size=(n, 2))
     x2 = rng.normal(size=(n, 2))
-    y = np.where(x1[:, 0] > 0, 2, -2)
+    y = np.where(x1[:, 0] > 0, 2, np.where(x2[:, 1] > 0.5, 0, -2))
     m1 = fit(x1, y, ForestConfig(n_estimators=10, seed=0))
-    m2 = fit(x2, y, ForestConfig(n_estimators=10, seed=1))
-    proba = late_fuse_proba([m1, m2], [x1, x2])
-    np.testing.assert_allclose(proba.sum(axis=1), 1.0, atol=1e-9)
-    np.testing.assert_allclose(
-        proba, (m1.predict_proba(x1) + m2.predict_proba(x2)) / 2.0, atol=1e-12
-    )
-    preds = late_fuse([m1, m2], [x1, x2])
-    assert set(np.unique(preds)) <= {-2, 2}
+    m2 = fit(x2, y, ForestConfig(n_estimators=3, seed=1))
+    mean = (m1.predict_proba(x1) + m2.predict_proba(x2)) / 2.0
+    assert (mean == mean.max(axis=1, keepdims=True)).sum(axis=1).max() > 1  # a tie to break
+    np.testing.assert_array_equal(fuse([m1, m2], [x1, x2]), _lowest_label_of_the_max(m1.labels, mean))
 
 
-def test_late_fuse_idempotent_on_identical_models():
+def test_fuse_of_one_model_is_its_predict_bit_for_bit():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(60, 3))
+    y = np.where(x[:, 0] > 0, 2, np.where(x[:, 1] > 0, 1, -2))
+    for trees in (1, 2, 4, 9):  # an even count of trees gives probability ties
+        m = fit(x, y, ForestConfig(n_estimators=trees, seed=trees))
+        rows = np.vstack((x, rng.normal(size=(40, 3))))
+        assert fuse([m], [rows]).tobytes() == m.predict(rows).tobytes()
+
+
+def test_fuse_of_two_copies_of_a_model_is_its_own_predict():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(40, 2))
     y = np.where(x[:, 0] > 0, 2, -2)
     m = fit(x, y, ForestConfig(n_estimators=8, seed=0))
     # Averaging a model with itself changes nothing.
-    np.testing.assert_allclose(
-        late_fuse_proba([m, m], [x, x]), m.predict_proba(x), atol=1e-12
-    )
-
-
-def test_late_fuse_requires_shared_labels():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(30, 2))
-    m1 = fit(x, np.where(x[:, 0] > 0, 2, -2), ForestConfig(n_estimators=3, seed=0))
-    m2 = fit(x, np.where(x[:, 0] > 0, 1, 0), ForestConfig(n_estimators=3, seed=0))
-    with pytest.raises(LabelError):
-        late_fuse_proba([m1, m2], [x, x])
-    with pytest.raises(LabelError):
-        late_fuse_proba([m1], [x])
+    np.testing.assert_array_equal(fuse([m, m], [x, x]), m.predict(x))
 
 
 def test_late_fusion_groups_cover_text_and_image():
-    flat = [m for group in LATE_FUSION_GROUPS for m in group]
+    groups = SETTING_GROUPS[Setting.LATE_FUSION]
+    assert len(groups) == 2
+    flat = [m for group in groups for m in group]
     assert "text" in flat
     assert "image_quality" in flat and "face" in flat
     assert "basic" not in flat
