@@ -412,9 +412,7 @@ def _load_band_model(model_dir: Path, band: str):
             and isinstance(medians, dict) and sorted(medians) == sorted(base_names)
             and all(map(is_finite_number, medians.values()))):
         raise SchemaError(f"{meta_path}: base_names must be strings, each with a finite median; retrain")
-    # The forest's columns: base_names, then indicators of some of them (apply_imputation).
-    names, indicators = model.feature_names, [f"{n}__missing" for n in base_names]
-    if names[:len(base_names)] != base_names or any(n not in indicators for n in names[len(base_names):]):
+    if model.feature_names != base_names:
         raise SchemaError(f"{meta_path} does not describe the columns of {model_path}; retrain")
     return model, base_names, medians
 
@@ -440,7 +438,7 @@ def cmd_predict(cfg: RunConfig, paths: dict) -> int:
         if sub.names != base_names:
             raise SchemaError(f"features for {band} differ from the ones its model was trained on "
                               f"(lexicon or registry changed?); retrain or use the training inputs")
-        proba = model.predict_proba(apply_imputation(sub.values, sub.names, medians, model.feature_names))
+        proba = model.predict_proba(apply_imputation(sub.values, sub.names, medians))
         importances = model.feature_importances()
         top = ";".join(model.feature_names[j] for j in np.argsort(-importances)[:5] if importances[j] > 0)
         missing = np.isnan(sub.values)

@@ -111,14 +111,14 @@ def assign_binary_class(ratio: float) -> Optional[int]:
 
 
 class CategoryRegistry:
-    """Bijection between the 19 canonical campaign category labels and indices 0..18."""
+    """The canonical campaign category labels (19 by default), distinct and in registry order."""
 
     def __init__(self, labels):
         labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise SchemaError("duplicate category labels in registry")
         self._labels = labels
-        self._index = {label: i for i, label in enumerate(labels)}
+        self._known = frozenset(labels)
 
     @classmethod
     def load(cls, path) -> "CategoryRegistry":
@@ -138,20 +138,8 @@ class CategoryRegistry:
     def labels(self):
         return self._labels
 
-    def __len__(self) -> int:
-        return len(self._labels)
-
     def __contains__(self, label: str) -> bool:
-        return label in self._index
-
-    def index(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise SchemaError(f"unknown category label: {label!r}") from None
-
-    def label(self, index: int) -> str:
-        return self._labels[index]
+        return label in self._known
 
 
 def _finite(v) -> float:

@@ -216,16 +216,17 @@ def _derived_seed(*parts) -> int:
 
 def _model_columns(matrix: FeatureMatrix, setting: Setting, screened_names=None) -> tuple:
     """Column names of each model a setting trains, one per group in SETTING_GROUPS.
-    Raises EmptySetting when a model would have none."""
-    return tuple(tuple(_columns(matrix, group, screened_names)) for group in SETTING_GROUPS[setting])
-
-
-def _imputed_columns(out_names, names) -> list:
-    """Positions of one model's columns in a matrix imputed over more columns:
-    ``names``, then their indicators, in ``names`` order. A column's median and
-    indicator depend only on its own fit rows, so this equals imputing ``names`` alone."""
-    at = {name: j for j, name in enumerate(out_names)}
-    return [at[n] for n in names] + [at[m] for n in names if (m := f"{n}__missing") in at]
+    Raises EmptySetting when a model would have none, or only columns that are
+    constant on the matrix's rows (NaN counting as a value): its input was not measured."""
+    at = {name: j for j, name in enumerate(matrix.names)}
+    models = []
+    for group in SETTING_GROUPS[setting]:
+        names = _columns(matrix, group, screened_names)
+        v = matrix.values[:, [at[n] for n in names]]
+        if ((v == v[0]) | (np.isnan(v) & np.isnan(v[0]))).all():
+            raise EmptySetting(f"no column of {'+'.join(group)} varies on the band's rows")
+        models.append(tuple(names))
+    return tuple(models)
 
 
 @dataclass(frozen=True)
@@ -242,20 +243,22 @@ class _FoldTask:
 
 
 def _fit_predict(task: _FoldTask) -> list:
-    """Train per the task; one prediction vector for its apply rows per setting."""
+    """Train per the task; one prediction vector for its apply rows per setting.
+    A column's median depends only on its own fit rows, so each model's columns,
+    picked by name from the imputed band, equal imputing those columns alone."""
     values = task.band.values
-    Xtr, Xte, out_names, _ = impute_with_indicators(
+    Xtr, Xte, names, _ = impute_with_indicators(
         values[task.fit_rows], values[task.apply_rows], task.band.names)
+    at = {name: j for j, name in enumerate(names)}
     y = task.y[task.fit_rows]
     predictions = []
     for seed_parts, columns in task.settings:
         late = len(columns) > 1
         models, xs = [], []
-        for gi, names in enumerate(columns):
-            picked = _imputed_columns(out_names, names)
+        for gi, group in enumerate(columns):
+            picked = [at[n] for n in group]
             seed = _derived_seed(*seed_parts, "late", gi) if late else _derived_seed(*seed_parts)
-            models.append(rf.fit(Xtr[:, picked], y, replace(task.forest, seed=seed),
-                                 feature_names=[out_names[j] for j in picked]))
+            models.append(rf.fit(Xtr[:, picked], y, replace(task.forest, seed=seed), feature_names=group))
             xs.append(Xte[:, picked])
         predictions.append(fuse(models, xs))
     return predictions

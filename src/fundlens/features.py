@@ -1,8 +1,10 @@
 """Campaign feature matrix assembly across all modalities.
 
-Columns are modality-tagged; NaN marks a missing value and each modality
-with possible misses carries an explicit missingness indicator, so nothing
-is ever silently fabricated.
+Columns are modality-tagged and NaN marks a missing value. Each modality
+that can miss carries its own indicator column (``population_missing``,
+``image_quality_missing``, ``face_missing``), and a face mean is NaN where
+``num_faces`` is 0, so imputation fills each NaN with its training median
+and adds no column. A ``state_code`` that is not two letters is NaN too.
 """
 
 from __future__ import annotations
@@ -216,11 +218,12 @@ def impute_with_indicators(train_values: np.ndarray, apply_values: np.ndarray, n
     """Fit median imputation on the training rows and apply it to both sides.
 
     Every column stores its training median (0.0 when it has no finite
-    training value); a ``<name>__missing`` indicator is added for each
-    column with a NaN in training. Both sides go through apply_imputation;
-    with ``apply_values=None`` only the training rows are imputed.
+    training value) and each NaN is filled with it; no column is added, since
+    a modality's misses already have their own ``*_missing`` column. Both
+    sides go through apply_imputation; with ``apply_values=None`` only the
+    training rows are imputed.
 
-    Returns (train_imputed, apply_imputed or None, out_names, medians).
+    Returns (train_imputed, apply_imputed or None, names, medians).
     """
     train = np.asarray(train_values, dtype=np.float64)
     with np.errstate(over="ignore"):  # _median takes an overflowing median again, scaled
@@ -228,11 +231,9 @@ def impute_with_indicators(train_values: np.ndarray, apply_values: np.ndarray, n
         for j in np.flatnonzero(~np.isfinite(med)):  # a NaN in the column, or an overflow
             finite = train[~np.isnan(train[:, j]), j]
             med[j] = _median(finite) if finite.size else 0.0
-    gappy = np.flatnonzero(np.isnan(train).any(axis=0))
     medians = dict(zip(names, med.tolist()))
-    out_names = [*names, *(f"{names[j]}__missing" for j in gappy)]
-    applied = None if apply_values is None else apply_imputation(apply_values, names, medians, out_names)
-    return apply_imputation(train, names, medians, out_names), applied, out_names, medians
+    applied = None if apply_values is None else apply_imputation(apply_values, names, medians)
+    return apply_imputation(train, names, medians), applied, names, medians
 
 
 def _median(values) -> float:
@@ -245,18 +246,8 @@ def _median(values) -> float:
     return m
 
 
-def apply_imputation(values: np.ndarray, names, medians: dict, out_names):
-    """The one imputation transform, for training and prediction rows alike.
-
-    Fills every NaN with its column's training median and appends the
-    trained indicator columns (1.0 where the value was missing). ``out_names``
-    is ``names`` then ``<name>__missing`` indicators of some of them, as
-    impute_with_indicators builds it; predict checks a stored layout when it
-    loads the model.
-    """
-    base = {n: j for j, n in enumerate(names)}
-    indicators = [base[name[: -len("__missing")]] for name in out_names[len(names):]]
+def apply_imputation(values: np.ndarray, names, medians: dict):
+    """The one imputation transform, for training and prediction rows alike:
+    every NaN becomes its column's training median."""
     vals = np.asarray(values, dtype=np.float64)
-    missing = np.isnan(vals)
-    filled = np.where(missing, np.asarray([medians[n] for n in names], dtype=np.float64), vals)
-    return np.hstack([filled, missing[:, indicators].astype(np.float64)])
+    return np.where(np.isnan(vals), np.asarray([medians[n] for n in names], dtype=np.float64), vals)

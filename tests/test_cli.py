@@ -130,12 +130,12 @@ _PROTOCOL_DIGESTS = {
     "features.npz values": "8b7640b1e4aa75fbe0f8b8b19a72d31e065715aa3d9911a806fa30c0f9a94332",
     "screening.csv": "658395c392162a55b3fc5cc1ae7de97080af6ec54843e9402f12d8c8ebea2a53",
     "screening_notes.json": "c323470bb98a2ca82d12be7e030a8412b341d596f332e63bfd7c36f9c269c5b6",
-    "all-features/report.csv": "8f6a4e0902e0560f301bdbd24d0e37f4f9ab572a8aa6e8780ba373deeffb34b6",
-    "all-features/report.json": "28e3592c53d4637be67539da2a52e32ad6023f8cca5455ddc2b6137210df4d83",
-    "screened/report.csv": "cf14c4c41d60e41f4701b0eeec479b82ad722b6c4c8ab019bb83c2f63c9db843",
-    "screened/report.json": "cd7b4519a91ec4c49e9c552b2fc42cf5673eeff5ff5e27f919e4613a80da5c10",
-    "all-features/report.csv holdout": "9827b3f09c861d8a8cdfd2327f3ee7352c65b2028a44ab99e29b098f7ba96adc",
-    "screened/report.csv holdout": "4fa6dc30a4f39cb652f811e2aad24b52458c4657c73fda8b30f2c663f33df15a",
+    "all-features/report.csv": "e5f9701472a9bd5e39e4783392bdc4b27ead1a39365b17573f29f3d8a03aecbf",
+    "all-features/report.json": "ac5c8f8d6ec9c2c2f6ca38534a1aebea54576fdbc36fd93658f7e3742de3f222",
+    "screened/report.csv": "2017dcc447156e8b73009d81cae64ebbc1b9cafe8b089eb4e83c12f96c2b12ee",
+    "screened/report.json": "1a81c559d03a201ac3f81b6999d5ee2037ab515dd64ad14792d3d307513fb415",
+    "all-features/report.csv holdout": "75c0976e422281a574758ae74b0d53a199070d2790fe97aeaa48f5dd18a6bb9b",
+    "screened/report.csv holdout": "da9acac751a36991b367975dd6235b6856906c2f49fffc1ab1dc5a072d12079e",
 }
 
 
@@ -848,7 +848,7 @@ def test_dataset_record_without_cover_image_has_no_image(pipeline_dir, tmp_path)
 
 def test_featurize_without_side_inputs_marks_every_modality_missing(pipeline_dir, tmp_path):
     # No --census, --quality-scores or --sidecar-root: each modality's indicator reads 1.0
-    # on every row, so imputation adds no indicator of an indicator.
+    # on every row.
     root, out, base = pipeline_dir
     shutil.copy(out / "dataset.jsonl", tmp_path / "dataset.jsonl")
     assert main(["featurize", "--seed", "7", "--out", str(tmp_path)]) == 0
@@ -856,8 +856,24 @@ def test_featurize_without_side_inputs_marks_every_modality_missing(pipeline_dir
                                                cli._sha256(tmp_path / "dataset.jsonl"))
     for name in ("population_missing", "image_quality_missing", "face_missing"):
         assert (matrix.column(name) == 1.0).all(), name
-    _, _, out_names, _ = features.impute_with_indicators(matrix.values, None, matrix.names)
-    assert [n for n in out_names if n.endswith("_missing__missing")] == []
+
+
+def test_evaluate_skips_a_setting_whose_input_the_run_did_not_name(pipeline_dir, tmp_path):
+    # Featurized without side inputs, every Population, Face and ImageQuality column is
+    # constant (NaN or 1.0) on every row: a model of them would only report the majority rate.
+    root, out, base = pipeline_dir
+    shutil.copy(out / "dataset.jsonl", tmp_path / "dataset.jsonl")
+    run = ["--seed", "7", "--out", str(tmp_path)]
+    assert main(["featurize", *run]) == 0
+    assert main(["evaluate", *run, "--trees", "5", "--cv-folds", "2", "--full-settings-bands", "B1",
+                 "--settings", "Population,Face,ImageQuality,LIWC"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [(r["goal_band"], r["setting"]) for r in report["rows"]] == [("B1", "LIWC"), ("B2", "Basic")]
+    assert [r["setting"] for r in report["totals"]] == ["LIWC"]
+    assert report["notes"] == [*(f"skipped B1/{setting}: no column of {group} varies on the band's rows"
+                                 for setting, group in (("Population", "population"), ("Face", "face"),
+                                                        ("ImageQuality", "image_quality"))),
+                               "skipped band B3: n=0 < 30", "skipped band B4: n=0 < 30"]
 
 
 def test_reordered_dataset_exits_3(pipeline_dir, tmp_path, capsys):
@@ -1008,12 +1024,15 @@ def test_predict_with_changed_features_exits_3_before_writing(pipeline_dir, serv
     assert "retrain" in capsys.readouterr().err
     assert predictions.read_text() == "untouched\n"
 
-    # Model metadata written before every column stored its training median.
+    # Model metadata written before every column stored its training median: only the
+    # columns with a missing training value had one.
     old = tmp_path / "old_models"
     shutil.copytree(models, old)
     meta = json.loads((old / "B1_meta.json").read_text())
-    indicators = json.loads((old / "B1.json").read_text())["feature_names"]
-    meta["medians"] = {n: v for n, v in meta["medians"].items() if f"{n}__missing" in indicators}
+    matrix, _, _ = features.FeatureMatrix.load(out / "features.npz", cli._sha256(out / "dataset.jsonl"))
+    gappy = {n for n, gap in zip(matrix.names, np.isnan(matrix.values).any(axis=0)) if gap}
+    meta["medians"] = {n: v for n, v in meta["medians"].items() if n in gappy}
+    assert 0 < len(meta["medians"]) < len(meta["base_names"])
     (old / "B1_meta.json").write_text(json.dumps(meta))
     assert main(["predict", *base, "--out", str(tmp_path), "--models", str(old), str(batch)]) == 3
     assert "retrain" in capsys.readouterr().err
@@ -1090,6 +1109,34 @@ def test_corrupt_model_exits_3_before_writing(pipeline_dir, served, tmp_path, ca
     err = capsys.readouterr().err
     assert str(model) in err and err.rstrip().endswith("retrain")
     assert "Traceback" not in err
+    assert predictions.read_text() == "untouched\n"
+
+
+def test_every_model_reads_exactly_its_base_names(served):
+    models, _ = served
+    for band in ("B1", "B2"):
+        meta = json.loads((models / f"{band}_meta.json").read_text())
+        assert json.loads((models / f"{band}.json").read_text())["feature_names"] == meta["base_names"]
+
+
+def test_a_model_with_missingness_indicator_columns_exits_3_before_writing(pipeline_dir, served,
+                                                                           tmp_path, capsys):
+    # A forest that reads <name>__missing columns after its base names, as one trained
+    # before imputation stopped adding them: predict cannot build those columns.
+    root, out, base = pipeline_dir
+    models, batch = served
+    old = tmp_path / "models"
+    shutil.copytree(models, old)
+    payload = json.loads((old / "B1.json").read_text())
+    gappy = ["aesthetic_score", "num_faces"]
+    payload["feature_names"] += [f"{n}__missing" for n in gappy]
+    payload["importance_raw"] += [0.0] * len(gappy)
+    (old / "B1.json").write_text(json.dumps(payload))
+    predictions = tmp_path / "predictions.csv"
+    predictions.write_text("untouched\n")
+    assert main(["predict", *base, "--out", str(tmp_path), "--models", str(old), str(batch)]) == 3
+    err = capsys.readouterr().err
+    assert f"{old / 'B1_meta.json'} does not describe the columns of {old / 'B1.json'}; retrain" in err
     assert predictions.read_text() == "untouched\n"
 
 

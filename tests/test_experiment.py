@@ -9,8 +9,8 @@ from fundlens.cli import RunConfig
 from fundlens.experiment import (
     SETTING_GROUPS,
     Setting,
+    _columns,
     _fit_predict,
-    _imputed_columns,
     _model_columns,
     assemble,
     compute_metrics,
@@ -383,17 +383,16 @@ def test_band_imputation_sliced_per_model_equals_imputing_the_model_alone(data):
     band = FeatureMatrix(ids=[f"c{i}" for i in range(n)], names=names,
                          modalities=[_MODALITIES[j % len(_MODALITIES)] for j in range(d)], values=values)
     fit_all, apply_all, out_names, medians = impute_with_indicators(values[:n_fit], values[n_fit:], names)
+    assert out_names == names and not np.isnan(apply_all).any()
     for j, kind in enumerate(kinds):
         if kind == "no finite fit value":
-            assert medians[names[j]] == 0.0 and f"{names[j]}__missing" in out_names
-        elif kind == "gaps in apply rows only":
-            assert f"{names[j]}__missing" not in out_names
-    for setting in Setting:
-        for columns in _model_columns(band, setting):  # two groups for LateFusion
-            at = [names.index(c) for c in columns]
+            assert medians[names[j]] == 0.0
+    for groups in SETTING_GROUPS.values():
+        for group in groups:  # two for LateFusion
+            columns = _columns(band, group)
+            at = [out_names.index(c) for c in columns]
             fit_alone, apply_alone, alone_names, _ = impute_with_indicators(
-                values[:n_fit, at], values[n_fit:, at], list(columns))
-            picked = _imputed_columns(out_names, columns)
-            assert [out_names[j] for j in picked] == alone_names
-            assert fit_all[:, picked].tobytes() == fit_alone.tobytes()
-            assert apply_all[:, picked].tobytes() == apply_alone.tobytes()
+                values[:n_fit, at], values[n_fit:, at], columns)
+            assert alone_names == columns
+            assert fit_all[:, at].tobytes() == fit_alone.tobytes()
+            assert apply_all[:, at].tobytes() == apply_alone.tobytes()

@@ -229,18 +229,18 @@ def test_build_feature_matrix_columns(registry, lexicon, tmp_path):
 
 
 def test_impute_with_indicators():
-    # Medians and indicators are fitted on the training rows only: "a" has
-    # no training NaN, so its NaN on the apply side is filled without an
-    # indicator; "c" has no finite training value and gets median 0.0.
+    # Medians are fitted on the training rows only and fill every NaN on both
+    # sides; no column is added. "a" has no training NaN, so only its apply-side
+    # NaN is filled; "c" has no finite training value and gets median 0.0.
     train = np.array([[1.0, np.nan, np.nan], [3.0, 4.0, np.nan], [5.0, 8.0, np.nan]])
     test = np.array([[np.nan, 2.0, 7.0]])
     tr, te, out_names, medians = impute_with_indicators(train, test, ["a", "b", "c"])
-    assert out_names == ["a", "b", "c", "b__missing", "c__missing"]
+    assert out_names == ["a", "b", "c"]
     assert medians == {"a": 3.0, "b": 6.0, "c": 0.0}
-    np.testing.assert_array_equal(tr, [[1.0, 6.0, 0.0, 1.0, 1.0],
-                                       [3.0, 4.0, 0.0, 0.0, 1.0],
-                                       [5.0, 8.0, 0.0, 0.0, 1.0]])
-    np.testing.assert_array_equal(te, [[3.0, 2.0, 7.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(tr, [[1.0, 6.0, 0.0],
+                                       [3.0, 4.0, 0.0],
+                                       [5.0, 8.0, 0.0]])
+    np.testing.assert_array_equal(te, [[3.0, 2.0, 7.0]])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -265,6 +265,9 @@ def test_impute_no_missing_is_identity():
 def test_apply_imputation_matches_training_transform():
     train = np.array([[1.0, np.nan], [3.0, 4.0], [5.0, 8.0]])
     test = np.array([[np.nan, 2.0], [7.0, np.nan]])
-    _, te, out_names, medians = impute_with_indicators(train, test, ["a", "b"])
-    redo = apply_imputation(test, ["a", "b"], medians, out_names)
-    np.testing.assert_allclose(redo, te)
+    tr, te, _, medians = impute_with_indicators(train, test, ["a", "b"])
+    assert apply_imputation(train, ["a", "b"], medians).tobytes() == tr.tobytes()
+    redo = apply_imputation(test, ["a", "b"], medians)
+    assert redo.tobytes() == te.tobytes()
+    np.testing.assert_array_equal(redo, [[3.0, 2.0], [7.0, 6.0]])
+    assert np.isnan(test).sum() == 2  # the input is left as it was

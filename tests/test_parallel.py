@@ -2,10 +2,14 @@ import json
 import os
 import pickle
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import fundlens
 from fundlens.errors import ConfigError, FundlensError, ShapeError
 import fundlens.parallel as parallel_module
 from fundlens.parallel import parallel_map
@@ -184,3 +188,29 @@ def _cpus(_):
 def test_pool_workers_run_on_every_cpu_of_the_parent():
     # The move to a worker's own CPU is undone before any task runs.
     assert parallel_map(_cpus, range(6), jobs=2) == [os.sched_getaffinity(0)] * 6
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_THREADS_AFTER_IMPORT = """
+import os, sys
+for name in sys.argv[1:]:
+    __import__(name)
+status = open("/proc/self/status").read()
+print(status.split("Threads:")[1].split()[0], *(os.environ.get(v, "-") for v in {vars}))
+""".format(vars=_BLAS_VARS)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status here")
+def test_importing_fundlens_before_numpy_leaves_one_thread_to_fork():
+    # NumPy's OpenBLAS starts a thread per CPU when it loads, and parallel_map forks.
+    # fundlens defaults the thread counts to 1 only while NumPy is not yet loaded.
+    src = str(Path(fundlens.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    seen = {}
+    for order in (("fundlens", "numpy"), ("numpy", "fundlens")):
+        run = subprocess.run([sys.executable, "-c", _THREADS_AFTER_IMPORT, *order], env=env,
+                             capture_output=True, text=True, check=True)
+        seen[order] = run.stdout.split()
+    assert seen[("fundlens", "numpy")] == ["1", "1", "1", "1"]
+    assert seen[("numpy", "fundlens")][1:] == ["-", "-", "-"]
